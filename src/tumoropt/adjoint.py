@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from . import constitutive as con
-from .cost import CostWeights, stress_weight_tensor, tracking_source
-from .fem import tensor_dot
+from .cost import CostWeights, running_cost_sources
 from .state import (ControlTriple, Direction, PreconditionError, SolverError,
                     StateTrajectory, System)
 
@@ -57,19 +55,50 @@ class ReducedGradient:
         return Direction(self.g1, self.g2, self.g3)
 
 
-def _du_dphi(system: System, phi_gp, sig_gp, stress_gp, w2):
-    """d/dphi of the growth source at lagged arguments."""
-    p, nl = system.params, system.nl
-    g_gp = nl.g_of(stress_gp)
-    gp_grad = nl.g_grad(stress_gp)
-    mis_stress = p.C.apply(p.misfit_strain)
-    return (p.lambda_p * sig_gp * (nl.f_prime(phi_gp) * g_gp
-                                   - nl.f(phi_gp) * tensor_dot(gp_grad, mis_stress))
-            - (p.lambda_a + w2) * nl.k_prime(phi_gp))
+def _displacement_source(system: System, coef, sigma_gp, p, q, cost_load):
+    """Load of a displacement multiplier: the strain couplings of the
+    composition step transposed onto (p, q), plus the running-cost load."""
+    quad = system.quad
+    growth = (quad.P @ p)[:, None] * coef.growth_dstress(sigma_gp)
+    return (system.Bc @ q + quad.pair_stress(system.params.C.apply(growth))
+            + cost_load)
 
 
-def _terminal_snapshot(system: System, traj: StateTrajectory, w: ControlTriple,
-                       weights: CostWeights) -> AdjointSnapshot:
+def _composition_rhs(system: System, coef, sigma_gp, w2, w3,
+                     nxt: AdjointSnapshot, tau: float) -> np.ndarray:
+    """Transposed couplings of the following step's (p, q, r) into the
+    composition solve of a level; ``coef`` holds that step's lagged state."""
+    quad, M = system.quad, system.M
+    q_gp = quad.P @ nxt.q
+    return ((M @ nxt.p) / tau
+            - quad.pair(system.nl.psi2_second(coef.phi) * q_gp)
+            - system.misfit_curvature * (M @ nxt.q)
+            + quad.pair(coef.growth_dphi(sigma_gp, w2) * (quad.P @ nxt.p))
+            + quad.pair(coef.nutrient_dphi(sigma_gp, w3) * (quad.P @ nxt.r)))
+
+
+def _composition_multipliers(system: System, phi: np.ndarray, rhs1: np.ndarray,
+                             tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) from the transposed composition Jacobian at ``phi``."""
+    nn = system.grid.n_nodes
+    J = system.ch_jacobian(phi, tau)
+    sol = splu(J.T.tocsc()).solve(np.concatenate([rhs1, np.zeros(nn)]))
+    # the adjoint block is the Jacobian transpose conjugated by
+    # diag(I, -I): solve J^T (x, y) = (rhs1, 0), then (p, q) = (x, -y)
+    return sol[:nn], -sol[nn:]
+
+
+def _nutrient_multiplier(system: System, coef, p, q, r_next, tau: float) -> np.ndarray:
+    """Nutrient multiplier of a step whose lagged coefficients are ``coef``."""
+    quad, params = system.quad, system.params
+    rhs = quad.pair(coef.growth_dsigma * (quad.P @ p)) + params.chi * (system.M @ q)
+    if params.beta > 0:
+        rhs = rhs + (params.beta / tau) * (system.M @ r_next)
+    return splu(system.nutrient_operator(coef, tau).tocsc()).solve(rhs)
+
+
+def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeights,
+                       coef) -> AdjointSnapshot:
     N = traj.n_steps
     tau = traj.tau
     snap = traj.snapshot(N)
@@ -77,24 +106,12 @@ def _terminal_snapshot(system: System, traj: StateTrajectory, w: ControlTriple,
     if np.ndim(p_T) == 0 or p_T.size == 1:
         p_T = np.full(system.grid.n_nodes, float(np.asarray(p_T).ravel()[0]))
     q_T = system._mass_lu.solve(system.K @ p_T)
-    quad = system.quad
-    params, nl = system.params, system.nl
-    phi_gp = quad.P @ snap.phi
-    stress_gp = con.stress(params, phi_gp, quad.strain(snap.u))
-    if params.beta > 0:
-        r_T = np.zeros(system.grid.n_nodes)
-    else:
-        A = system.nutrient_operator(snap.phi, tau)
-        rhs = (quad.pair(params.lambda_p * nl.f(phi_gp) * nl.g_of(stress_gp)
-                         * (quad.P @ p_T))
-               + params.chi * (system.M @ q_T))
-        r_T = splu(A.tocsc()).solve(rhs)
-    s_src = (system.Bc @ q_T
-             + quad.pair_stress(params.lambda_p * (quad.P @ snap.sigma)[:, None]
-                                * nl.f(phi_gp)[:, None] * (quad.P @ p_T)[:, None]
-                                * params.C.apply(nl.g_grad(stress_gp)))
-             + quad.pair_stress(stress_weight_tensor(system, weights, snap)))
-    s_T = system.solve_elastic_free(s_src)
+    r_T = np.zeros(system.grid.n_nodes)
+    if system.params.beta == 0:
+        r_T = _nutrient_multiplier(system, coef, p_T, q_T, r_T, tau)
+    _, cost_load = running_cost_sources(system, weights, snap, coef, N)
+    s_T = system.solve_elastic_free(_displacement_source(
+        system, coef, system.quad.P @ snap.sigma, p_T, q_T, cost_load))
     return AdjointSnapshot(p=p_T, q=q_T, r=r_T, s=s_T, t=N * tau)
 
 
@@ -111,103 +128,47 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
         raise SolverError("trajectory is incomplete")
     tau = traj.tau
     quad = system.quad
-    p_, nl, M, K = system.params, system.nl, system.M, system.K
-    cE = system.misfit_curvature
-    nn = system.grid.n_nodes
 
     out: list[AdjointSnapshot | None] = [None] * (N + 1)
-    out[N] = _terminal_snapshot(system, traj, w, weights)
+    coef = system.coefficients(traj.snapshot(N))
+    out[N] = _terminal_snapshot(system, traj, weights, coef)
 
     for j in range(N - 1, -1, -1):
         nxt = out[j + 1]
         if mode == "transpose":
-            state_lvl = traj.snapshot(j + 1)           # data of multiplier level j+1
-            phi_gp = quad.P @ state_lvl.phi
-            strain_gp = quad.strain(state_lvl.u)
-            stress_gp = con.stress(p_, phi_gp, strain_gp)
-            terminal = j + 1 == N
-
-            # displacement multiplier of this level
-            s_src = quad.pair_stress(stress_weight_tensor(system, weights, state_lvl))
-            if not terminal:
-                sig_next_gp = quad.P @ traj.snapshot(j + 2).sigma
-                s_src = s_src + system.Bc @ nxt.q + quad.pair_stress(
-                    p_.lambda_p * sig_next_gp[:, None] * nl.f(phi_gp)[:, None]
-                    * (quad.P @ nxt.p)[:, None] * p_.C.apply(nl.g_grad(stress_gp)))
-            s = system.solve_elastic_free(s_src)
-
-            # composition/potential multipliers
-            rhs1 = (tracking_source(system, weights, state_lvl, j + 1)
-                    + system.Bc.T @ s)
-            if terminal:
-                rhs1 = rhs1 + (weights.alpha_Omega / tau) * (
-                    M @ (state_lvl.phi - weights.phi_Omega))
+            # level j transposes step j+1: its composition solve sits at
+            # snapshot j+1, whose coefficients (in ``coef``) are also the
+            # lagged ones of step j+2; its nutrient solve is step j+1's
+            n = j + 1
+            snap = traj.snapshot(n)
+            cost_phi, cost_load = running_cost_sources(system, weights, snap, coef, n)
+            if n == N:
+                s = system.solve_elastic_free(cost_load)
+                rhs1 = cost_phi + (weights.alpha_Omega / tau) * (
+                    system.M @ (snap.phi - weights.phi_Omega))
             else:
-                q_next_gp = quad.P @ nxt.q
-                du_dphi = _du_dphi(system, phi_gp, sig_next_gp, stress_gp,
-                                   float(w.w2[j + 1]))
-                rhs1 = (rhs1 + (M @ nxt.p) / tau
-                        - quad.pair(nl.psi2_second(phi_gp) * q_next_gp)
-                        - cE * (M @ nxt.q)
-                        + quad.pair(du_dphi * (quad.P @ nxt.p))
-                        - quad.pair(nl.h_prime(phi_gp)
-                                    * (p_.lambda_c * sig_next_gp - w.w3[j + 1])
-                                    * (quad.P @ nxt.r)))
-            J = system.ch_jacobian(state_lvl.phi, tau)
-            sol = splu(J.T.tocsc()).solve(np.concatenate([rhs1, np.zeros(nn)]))
-            # the adjoint block is the Jacobian transpose conjugated by
-            # diag(I, -I): solve J^T (x, y) = (rhs1, 0), then (p, q) = (x, -y)
-            p_lvl, q_lvl = sol[:nn], -sol[nn:]
-
-            # nutrient multiplier; coefficients are the lagged ones of step j+1
-            lag = traj.snapshot(j)
-            lag_phi_gp = quad.P @ lag.phi
-            lag_stress = con.stress(p_, lag_phi_gp, quad.strain(lag.u))
-            rhs_r = (quad.pair(p_.lambda_p * nl.f(lag_phi_gp) * nl.g_of(lag_stress)
-                               * (quad.P @ p_lvl))
-                     + p_.chi * (M @ q_lvl))
-            if p_.beta > 0 and not terminal:
-                rhs_r = rhs_r + (p_.beta / tau) * (M @ nxt.r)
-            A = system.nutrient_operator(lag.phi, tau)
-            r_lvl = splu(A.tocsc()).solve(rhs_r)
+                sig_gp = quad.P @ traj.snapshot(n + 1).sigma
+                s = system.solve_elastic_free(_displacement_source(
+                    system, coef, sig_gp, nxt.p, nxt.q, cost_load))
+                rhs1 = cost_phi + _composition_rhs(system, coef, sig_gp, w.w2[n],
+                                                   w.w3[n], nxt, tau)
+            p, q = _composition_multipliers(system, snap.phi,
+                                            rhs1 + system.Bc.T @ s, tau)
+            coef = system.coefficients(traj.snapshot(j))
+            r = _nutrient_multiplier(system, coef, p, q, nxt.r, tau)
         else:
-            state_j = traj.snapshot(j)
-            phi_gp = quad.P @ state_j.phi
-            strain_gp = quad.strain(state_j.u)
-            stress_gp = con.stress(p_, phi_gp, strain_gp)
-            sig_gp = quad.P @ state_j.sigma
+            snap = traj.snapshot(j)
+            coef = system.coefficients(snap)
+            sig_gp = quad.P @ snap.sigma
+            cost_phi, cost_load = running_cost_sources(system, weights, snap, coef, j)
+            rhs1 = (cost_phi + system.Bc.T @ nxt.s
+                    + _composition_rhs(system, coef, sig_gp, w.w2[j], w.w3[j], nxt, tau))
+            p, q = _composition_multipliers(system, snap.phi, rhs1, tau)
+            r = _nutrient_multiplier(system, coef, p, q, nxt.r, tau)
+            s = system.solve_elastic_free(_displacement_source(
+                system, coef, sig_gp, p, q, cost_load))
 
-            rhs1 = (tracking_source(system, weights, state_j, j)
-                    + system.Bc.T @ nxt.s
-                    + (M @ nxt.p) / tau
-                    - quad.pair(nl.psi2_second(phi_gp) * (quad.P @ nxt.q))
-                    - cE * (M @ nxt.q)
-                    + quad.pair(_du_dphi(system, phi_gp, sig_gp, stress_gp,
-                                         float(w.w2[j])) * (quad.P @ nxt.p))
-                    - quad.pair(nl.h_prime(phi_gp)
-                                * (p_.lambda_c * sig_gp - w.w3[j])
-                                * (quad.P @ nxt.r)))
-            J = system.ch_jacobian(state_j.phi, tau)
-            sol = splu(J.T.tocsc()).solve(np.concatenate([rhs1, np.zeros(nn)]))
-            p_lvl, q_lvl = sol[:nn], -sol[nn:]
-
-            rhs_r = (quad.pair(p_.lambda_p * nl.f(phi_gp) * nl.g_of(stress_gp)
-                               * (quad.P @ p_lvl))
-                     + p_.chi * (M @ q_lvl))
-            if p_.beta > 0:
-                rhs_r = rhs_r + (p_.beta / tau) * (M @ nxt.r)
-            A = system.nutrient_operator(state_j.phi, tau)
-            r_lvl = splu(A.tocsc()).solve(rhs_r)
-
-            s_src = (system.Bc @ q_lvl
-                     + quad.pair_stress(p_.lambda_p * sig_gp[:, None]
-                                        * nl.f(phi_gp)[:, None]
-                                        * (quad.P @ p_lvl)[:, None]
-                                        * p_.C.apply(nl.g_grad(stress_gp)))
-                     + quad.pair_stress(stress_weight_tensor(system, weights, state_j)))
-            s = system.solve_elastic_free(s_src)
-
-        out[j] = AdjointSnapshot(p=p_lvl, q=q_lvl, r=r_lvl, s=s, t=j * tau)
+        out[j] = AdjointSnapshot(p=p, q=q, r=r, s=s, t=j * tau)
     return out  # type: ignore[return-value]
 
 
@@ -217,17 +178,16 @@ def reduced_gradient(system: System, traj: StateTrajectory,
     """Gradient of the smooth cost part in the discrete control metric."""
     N = traj.n_steps
     quad = system.quad
-    nl = system.nl
     g1 = np.empty_like(w.w1)
     kp = np.empty(N)
     hr = np.empty(N)
     for j in range(N):
         snap = traj.snapshot(j)
-        phi_gp = quad.P @ snap.phi
+        coef = system.coefficients(snap)
         g1[:, j] = (weights.gamma1 * w.w1[:, j]
                     + system.params.kappa * system.boundary_trace_avg(adj[j].r))
-        kp[j] = quad.integrate(nl.k(phi_gp) * (quad.P @ adj[j].p))
-        hr[j] = quad.integrate(nl.h(phi_gp) * (quad.P @ adj[j].r))
+        kp[j] = -quad.integrate(coef.growth_dw2 * (quad.P @ adj[j].p))
+        hr[j] = quad.integrate(coef.nutrient_dw3 * (quad.P @ adj[j].r))
     g2 = weights.gamma2 * w.w2 - kp
     g3 = weights.gamma3 * w.w3 + hr
     return ReducedGradient(g1=g1, g2=g2, g3=g3, kp_integral=kp, hr_integral=hr)

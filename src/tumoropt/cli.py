@@ -18,7 +18,7 @@ def _apply_thread_limit():
         import threadpoolctl
         threadpoolctl.threadpool_limits(limits=int(n))
     except (ImportError, ValueError):
-        os.environ.setdefault("OMP_NUM_THREADS", n)
+        pass  # without threadpoolctl the variable has no effect
 
 
 def main(argv=None) -> int:

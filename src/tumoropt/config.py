@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io
 from .constitutive import DrugSchedule, ModelParams, Nonlinearities
-from .cost import CostWeights
+from .cost import CostConfigError, CostWeights
 from .fem import ElasticityTensor
 from .grid import Grid, build_grid
 from .state import ControlBounds, ControlTriple, System
@@ -93,7 +93,6 @@ SCHEMA: dict[str, tuple] = {
     "solver.newton_tol": (float, 1e-12),
     "solver.newton_max_iter": (int, 50),
     "solver.lin_rtol": (float, 1e-10),
-    "solver.adjoint_mode": (str, "transpose"),
     "solver.checkpoint_every": (int, 0),
     "opt.max_iterations": (int, 200),
     "opt.tol": (float, 1e-8),
@@ -212,14 +211,16 @@ class RunConfig:
     def build_weights(self, system: System) -> CostWeights:
         grid = system.grid
         return CostWeights(
-            alpha_Q=self["cost.alpha_Q"], alpha_Omega=self["cost.alpha_Omega"],
-            alpha_E=self["cost.alpha_E"],
-            gamma1=self["cost.gamma1"], gamma2=self["cost.gamma2"],
-            gamma3=self["cost.gamma3"], gamma4=self["cost.gamma4"],
-            gamma5=self["cost.gamma5"],
+            **_scalar_weights(self),
             phi_Q=ingest_target(self["cost.phi_Q"], grid, self),
             phi_Omega=ingest_target(self["cost.phi_Omega"], grid, self),
             weight_n=self["model.weight_n"])
+
+
+def _scalar_weights(cfg: RunConfig) -> dict[str, float]:
+    names = ("alpha_Q", "alpha_Omega", "alpha_E",
+             "gamma1", "gamma2", "gamma3", "gamma4", "gamma5")
+    return {name: cfg[f"cost.{name}"] for name in names}
 
 
 def load_config(path) -> RunConfig:
@@ -261,8 +262,6 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg["experiment.name"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg['experiment.name']!r}; "
                           f"expected one of {EXPERIMENTS}")
-    if cfg["solver.adjoint_mode"] not in ("transpose", "continuous"):
-        raise ConfigError("solver.adjoint_mode must be transpose or continuous")
     if cfg["solver.checkpoint_every"] < 0:
         raise ConfigError("solver.checkpoint_every must be >= 0")
     # constraint rules of the parameter and weight bundles, raised eagerly so
@@ -274,18 +273,10 @@ def validate_config(cfg: RunConfig) -> None:
         cfg.build_bounds()
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
-    g1, g2, g3 = cfg["cost.gamma1"], cfg["cost.gamma2"], cfg["cost.gamma3"]
-    g4, g5 = cfg["cost.gamma4"], cfg["cost.gamma5"]
-    weights = [cfg["cost.alpha_Q"], cfg["cost.alpha_Omega"], cfg["cost.alpha_E"],
-               g1, g2, g3, g4, g5]
-    if any(v < 0 for v in weights):
-        raise ConfigError("cost weights must be non-negative (A7)")
-    if all(v == 0 for v in weights):
-        raise ConfigError("cost weights must not all vanish (A7)")
-    if g4 > 0 and g2 <= 0:
-        raise ConfigError("gamma2 must be positive when gamma4 is positive (A7)")
-    if g5 > 0 and g3 <= 0:
-        raise ConfigError("gamma3 must be positive when gamma5 is positive (A7)")
+    try:
+        CostWeights(**_scalar_weights(cfg))
+    except CostConfigError as exc:
+        raise ConfigError(f"invalid cost weights: {exc}") from exc
 
 
 def dumps(cfg: RunConfig) -> str:

@@ -37,11 +37,6 @@ def psi_second(r, well_scale: float = 1.0):
     return well_scale * (3.0 * r * r - 1.0)
 
 
-def psi_third(r, well_scale: float = 1.0):
-    r = np.asarray(r, dtype=float)
-    return well_scale * 6.0 * r
-
-
 # convex part 1/4 (r^4 + 1), concave part -r^2/2
 def psi1_prime(r, well_scale: float = 1.0):
     r = np.asarray(r, dtype=float)
@@ -78,11 +73,6 @@ def smoothstep_prime(r):
     return 0.5 * 30.0 * t ** 2 * (1.0 - t) ** 2
 
 
-def smoothstep_second(r):
-    t = np.clip((np.asarray(r, dtype=float) + 1.0) * 0.5, 0.0, 1.0)
-    return 0.25 * 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-
-
 # ---------------------------------------------------------------------------
 # stress response g
 # ---------------------------------------------------------------------------
@@ -97,17 +87,6 @@ def g_stress_grad(stress_v: np.ndarray) -> np.ndarray:
     a = np.asarray(stress_v, dtype=float)
     scale = (1.0 + tensor_norm2(a)) ** (-1.5)
     return -a * scale[..., None]
-
-
-def g_stress_hess(stress: np.ndarray) -> np.ndarray:
-    """Hessian of g at a single 2x2 tensor, as a full (2,2,2,2) array."""
-    a = np.asarray(stress, dtype=float)
-    n2 = float((a * a).sum())
-    s3 = (1.0 + n2) ** (-1.5)
-    s5 = (1.0 + n2) ** (-2.5)
-    eye = np.eye(2)
-    return (3.0 * s5 * np.einsum("ij,kl->ijkl", a, a)
-            - s3 * np.einsum("ik,jl->ijkl", eye, eye))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +194,6 @@ class Nonlinearities:
     def psi_second(self, r):
         return psi_second(r, self.well_scale)
 
-    def psi_third(self, r):
-        return psi_third(r, self.well_scale)
-
     def psi1_prime(self, r):
         return psi1_prime(r, self.well_scale)
 
@@ -233,7 +209,6 @@ class Nonlinearities:
     # ramps -----------------------------------------------------------------
     f = staticmethod(smoothstep)
     f_prime = staticmethod(smoothstep_prime)
-    f_second = staticmethod(smoothstep_second)
     h = staticmethod(smoothstep)
     h_prime = staticmethod(smoothstep_prime)
     k = staticmethod(smoothstep)
@@ -329,24 +304,86 @@ def w_phi(params: ModelParams, phi, strain_v) -> np.ndarray:
     return -tensor_dot(stress(params, phi, strain_v), params.misfit_strain)
 
 
-def source_U(params: ModelParams, nl: Nonlinearities, phi, sigma, strain_v,
-             m_t) -> np.ndarray:
-    """Cell growth rate lambda_p sigma f(phi) g(W_E) - (lambda_a + m) k(phi)."""
-    gw = nl.g_of(stress(params, phi, strain_v))
-    return (params.lambda_p * np.asarray(sigma) * nl.f(phi) * gw
-            - (params.lambda_a + m_t) * nl.k(phi))
+@dataclass(frozen=True)
+class GaussCoefficients:
+    """The model coefficients of one state snapshot at the Gauss points.
+
+    ``gauss_coefficients`` builds it once per snapshot.  The growth source
+    U, the nutrient source S and their partials are written here once, and
+    the forward step, the linearised step, both adjoint modes and the cost
+    all read them from here, which keeps the transpose adjoint exact.  The
+    nutrient and the dosages are arguments, because a step pairs the lagged
+    composition and displacement with the new nutrient.
+    """
+    params: ModelParams
+    phi: np.ndarray
+    stress: np.ndarray      # W_E = C(E - Ebar - phi E*), Voigt
+    w_phi: np.ndarray       # -W_E : E*
+    f: np.ndarray
+    df: np.ndarray
+    g: np.ndarray
+    dg: np.ndarray          # tensor derivative of g at W_E, Voigt
+    h: np.ndarray
+    dh: np.ndarray
+    k: np.ndarray
+    dk: np.ndarray
+    n: np.ndarray           # stress weight n(x, phi) of the cost
+    dn: np.ndarray
+
+    # growth source U = lambda_p sigma f(phi) g(W_E) - (lambda_a + w2) k(phi)
+    def growth(self, sigma, w2):
+        p = self.params
+        return p.lambda_p * sigma * self.f * self.g - (p.lambda_a + w2) * self.k
+
+    @property
+    def growth_dsigma(self):
+        return self.params.lambda_p * self.f * self.g
+
+    def growth_dstress(self, sigma):
+        """dU/dW_E in Voigt form; pairs with a stress increment by tensor_dot."""
+        return (self.params.lambda_p * sigma * self.f)[..., None] * self.dg
+
+    def growth_dphi(self, sigma, w2):
+        """dU/dphi at fixed strain: through f, k and the misfit stress -C E*."""
+        p = self.params
+        misfit_stress = p.C.apply(p.misfit_strain)
+        return (p.lambda_p * sigma * (self.df * self.g
+                                      - self.f * tensor_dot(self.dg, misfit_stress))
+                - (p.lambda_a + w2) * self.dk)
+
+    @property
+    def growth_dw2(self):
+        return -self.k
+
+    # nutrient source S = h(phi)(w3 - lambda_c sigma) + B(sigma_c - sigma);
+    # it is affine in sigma, so an implicit step loads S(0, w3) and moves
+    # -dS/dsigma into the operator
+    def nutrient(self, sigma, w3):
+        p = self.params
+        return self.h * (w3 - p.lambda_c * sigma) + p.B * (p.sigma_c - sigma)
+
+    @property
+    def nutrient_dsigma(self):
+        return -(self.params.lambda_c * self.h + self.params.B)
+
+    def nutrient_dphi(self, sigma, w3):
+        return self.dh * (w3 - self.params.lambda_c * sigma)
+
+    @property
+    def nutrient_dw3(self):
+        return self.h
 
 
-def source_S(params: ModelParams, nl: Nonlinearities, phi, sigma, s_t) -> np.ndarray:
-    """Nutrient rate -h(phi)(lambda_c sigma - s) + B(sigma_c - sigma)."""
-    sigma = np.asarray(sigma, dtype=float)
-    return (-nl.h(phi) * (params.lambda_c * sigma - s_t)
-            + params.B * (params.sigma_c - sigma))
-
-
-def source_S_partials(params: ModelParams, nl: Nonlinearities, phi, sigma, s_t):
-    """(dS/dphi, dS/dsigma) at the given state."""
-    sigma = np.asarray(sigma, dtype=float)
-    d_phi = -nl.h_prime(phi) * (params.lambda_c * sigma - s_t)
-    d_sigma = -nl.h(phi) * params.lambda_c - params.B * np.ones_like(sigma)
-    return d_phi, d_sigma
+def gauss_coefficients(params: ModelParams, nl: Nonlinearities, xy, phi,
+                       strain_v) -> GaussCoefficients:
+    """Evaluate every coefficient at composition ``phi`` and strain ``strain_v``."""
+    phi = np.asarray(phi, dtype=float)
+    stress_v = stress(params, phi, strain_v)
+    return GaussCoefficients(
+        params=params, phi=phi, stress=stress_v,
+        w_phi=w_phi(params, phi, strain_v),
+        f=nl.f(phi), df=nl.f_prime(phi),
+        g=nl.g_of(stress_v), dg=nl.g_grad(stress_v),
+        h=nl.h(phi), dh=nl.h_prime(phi),
+        k=nl.k(phi), dk=nl.k_prime(phi),
+        n=nl.n_of(xy, phi), dn=nl.n_prime(xy, phi))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constitutive as con
+from .constitutive import GaussCoefficients
 from .fem import tensor_dot, tensor_norm2
 from .state import ControlTriple, StateTrajectory, System
 
@@ -76,13 +76,18 @@ class CostWeights:
                 f"expected {n_nodes}")
 
 
-def stress_load_density(system: System, weights: CostWeights,
-                        phi: np.ndarray, u: np.ndarray) -> np.ndarray:
+def stress_load_density(coef: GaussCoefficients) -> np.ndarray:
     """n(x, phi) |W_E|^2 at the Gauss points."""
-    quad = system.quad
-    phi_gp = quad.P @ phi
-    w_e = con.stress(system.params, phi_gp, quad.strain(u))
-    return system.nl.n_of(quad.xy, phi_gp) * tensor_norm2(w_e)
+    return coef.n * tensor_norm2(coef.stress)
+
+
+def stress_load_partials(coef: GaussCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Partials of n(x, phi) |W_E|^2 / 2 at fixed strain: d/dphi, through n
+    and the misfit stress -C E*, and d/dW_E in Voigt form."""
+    p = coef.params
+    d_phi = (0.5 * coef.dn * tensor_norm2(coef.stress)
+             - coef.n * tensor_dot(coef.stress, p.C.apply(p.misfit_strain)))
+    return d_phi, coef.n[..., None] * coef.stress
 
 
 def eval_cost(system: System, traj: StateTrajectory, w: ControlTriple,
@@ -104,7 +109,7 @@ def eval_cost(system: System, traj: StateTrajectory, w: ControlTriple,
                 J1 += 0.5 * weights.alpha_Q * tau * float(d @ (M @ d))
             if weights.alpha_E > 0:
                 J1 += 0.5 * weights.alpha_E * tau * system.quad.integrate(
-                    stress_load_density(system, weights, snap.phi, snap.u))
+                    stress_load_density(system.coefficients(snap)))
     dg = system.dgamma
     J1 += 0.5 * weights.gamma1 * tau * float(np.einsum("bj,bj,b->", w.w1, w.w1, dg))
     J1 += 0.5 * weights.gamma2 * tau * float(w.w2 @ w.w2)
@@ -114,40 +119,25 @@ def eval_cost(system: System, traj: StateTrajectory, w: ControlTriple,
     return J1 + J2, J1, J2
 
 
-def tracking_source(system: System, weights: CostWeights, snap,
-                    n: int) -> np.ndarray:
-    """Nodal pairing of the phi-derivative of the running cost density.
+def running_cost_sources(system: System, weights: CostWeights, snap,
+                         coef: GaussCoefficients, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sources of the running cost at snapshot n, whose coefficients are
+    ``coef``: the nodal pairing of its phi-derivative at fixed strain, and
+    the displacement load of its strain derivative.
 
-    alpha_Q (phi - phi_Q) plus the stress-load terms
-    (alpha_E/2) n'(x, phi)|W_E|^2 - alpha_E n(x, phi) W_E : C E*.
+    The phi part is alpha_Q (phi - phi_Q) plus alpha_E times the phi-partial
+    of the stress load; the load pairs alpha_E n(x, phi) C W_E with E(eta).
     """
     quad = system.quad
-    out = np.zeros(system.grid.n_nodes)
+    phi_source = np.zeros(system.grid.n_nodes)
+    load = np.zeros(2 * system.grid.n_nodes)
     if weights.alpha_Q > 0:
-        out += weights.alpha_Q * (system.M @ (snap.phi - weights.target_Q(n)))
+        phi_source += weights.alpha_Q * (system.M @ (snap.phi - weights.target_Q(n)))
     if weights.alpha_E > 0:
-        p = system.params
-        phi_gp = quad.P @ snap.phi
-        w_e = con.stress(p, phi_gp, quad.strain(snap.u))
-        n_gp = system.nl.n_of(quad.xy, phi_gp)
-        np_gp = system.nl.n_prime(quad.xy, phi_gp)
-        dens = (0.5 * np_gp * tensor_norm2(w_e)
-                - n_gp * tensor_dot(w_e, p.C.apply(p.misfit_strain)))
-        out += weights.alpha_E * quad.pair(dens)
-    return out
-
-
-def stress_weight_tensor(system: System, weights: CostWeights, snap) -> np.ndarray:
-    """alpha_E n(x, phi) C W_E at the Gauss points (Voigt), the displacement
-    source of the running cost; zero array when alpha_E vanishes."""
-    quad = system.quad
-    if weights.alpha_E == 0:
-        return np.zeros((quad.nq, 3))
-    p = system.params
-    phi_gp = quad.P @ snap.phi
-    w_e = con.stress(p, phi_gp, quad.strain(snap.u))
-    n_gp = system.nl.n_of(quad.xy, phi_gp)
-    return weights.alpha_E * n_gp[:, None] * p.C.apply(w_e)
+        d_phi, d_stress = stress_load_partials(coef)
+        phi_source += weights.alpha_E * quad.pair(d_phi)
+        load = quad.pair_stress(weights.alpha_E * system.params.C.apply(d_stress))
+    return phi_source, load
 
 
 def directional_cost_derivative(system: System, traj: StateTrajectory,
@@ -173,15 +163,9 @@ def directional_cost_derivative(system: System, traj: StateTrajectory,
             d = snap.phi - weights.target_Q(n)
             total += weights.alpha_Q * tau * float(d @ (system.M @ lin.xi))
         if weights.alpha_E > 0:
-            phi_gp = quad.P @ snap.phi
-            xi_gp = quad.P @ lin.xi
-            w_e = con.stress(p, phi_gp, quad.strain(snap.u))
-            n_gp = system.nl.n_of(quad.xy, phi_gp)
-            np_gp = system.nl.n_prime(quad.xy, phi_gp)
-            dstress = p.C.apply(quad.strain(lin.v)
-                                - xi_gp[:, None] * p.misfit_strain)
-            dens = (0.5 * np_gp * xi_gp * tensor_norm2(w_e)
-                    + n_gp * tensor_dot(w_e, dstress))
+            d_phi, d_stress = stress_load_partials(system.coefficients(snap))
+            dens = (d_phi * (quad.P @ lin.xi)
+                    + tensor_dot(d_stress, p.C.apply(quad.strain(lin.v))))
             total += weights.alpha_E * tau * quad.integrate(dens)
     dg = system.dgamma
     total += weights.gamma1 * tau * float(np.einsum("bj,bj,b->", w.w1, direction.h1, dg))

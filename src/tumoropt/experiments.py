@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import config as cfgmod
 from . import io
 from .adjoint import reduced_gradient, solve_adjoint
@@ -21,8 +22,6 @@ from .cost import eval_cost
 from .linearized import frechet_check
 from .optimize import (ControlProblem, OptimizeOptions, optimize,
                        projection_formula_check, sparsity_report)
-
-__version__ = "0.1.0"
 
 
 def _cell(v) -> str:
@@ -193,8 +192,7 @@ def run_optimize(cfg, outdir: Path, seed: int):
     system, phi0, sigma0, controls = _setup(cfg)
     T, N = cfg["time.T"], cfg["time.steps"]
     weights = cfg.build_weights(system)
-    problem = ControlProblem(system, phi0, sigma0, T, N, weights,
-                             adjoint_mode=cfg["solver.adjoint_mode"])
+    problem = ControlProblem(system, phi0, sigma0, T, N, weights)
     report = optimize(problem, controls, _optimize_options(cfg, seed))
 
     write_csv(outdir / "iterates.csv",
@@ -204,14 +202,12 @@ def run_optimize(cfg, outdir: Path, seed: int):
     _save_controls(outdir / "controls_final.fld", report.controls)
     artifacts = ["iterates.csv", "controls_final.fld"]
 
-    w = report.controls
-    traj = problem.solve(w)
-    adj = solve_adjoint(system, traj, w, weights, "transpose")
+    w, grad = report.controls, report.gradient
     summary = {"converged": report.converged, "stagnated": report.stagnated,
                "residual": report.residual, "iterations": len(report.history),
                "message": report.message}
     if weights.gamma4 > 0 or weights.gamma5 > 0:
-        sr = sparsity_report(system, traj, adj, w, weights)
+        sr = sparsity_report(grad, w, weights)
         tau = T / N
         rows = [(j, (j + 1) * tau, sr.w2[j], sr.kp_integral[j],
                  bool(sr.w2_zero[j]), bool(sr.w2_condition[j]), bool(sr.w2_boundary[j]),
@@ -233,7 +229,7 @@ def run_optimize(cfg, outdir: Path, seed: int):
         write_csv(outdir / "lambdas.csv", ["step", "lambda2", "lambda3"], lam_rows)
         artifacts.append("lambdas.csv")
     try:
-        dev = projection_formula_check(system, traj, adj, w, weights)
+        dev = projection_formula_check(grad, w, weights)
         write_csv(outdir / "projection.csv", ["control", "deviation"],
                   sorted(dev.items()))
         artifacts.append("projection.csv")
@@ -264,9 +260,7 @@ def run_gamma_sweep(cfg, outdir: Path, seed: int):
         w = report.controls
         l1 = tau * float(np.abs(w.w2).sum())
         l1_norms.append(l1)
-        traj = problem.solve(w)
-        adj = solve_adjoint(system, traj, w, weights, "transpose")
-        sr = sparsity_report(system, traj, adj, w, weights)
+        sr = sparsity_report(report.gradient, w, weights)
         agreements.append(sr.agreement("w2"))
         lam2 = report.lambda2
         lam_in = bool(lam2 is not None and (np.abs(lam2) <= 1.0 + 1e-12).all())

@@ -54,9 +54,6 @@ class Grid:
     def n_boundary_nodes(self) -> int:
         return self.boundary_nodes.size
 
-    def node_index(self, i: int, j: int) -> int:
-        return i + j * (self.nx + 1)
-
     def interior_mask(self) -> np.ndarray:
         mask = np.ones(self.n_nodes, dtype=bool)
         mask[self.boundary_nodes] = False
@@ -91,9 +88,6 @@ def build_grid(nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0,
         raise GridConfigError(
             "empty Dirichlet selection: at least one side of the boundary "
             "must pin the displacement")
-    if len(dirichlet_sides) == len(SIDES):
-        # Allowed: traction part may be empty, the pinned part may not.
-        pass
 
     xs = np.linspace(0.0, Lx, nx + 1)
     ys = np.linspace(0.0, Ly, ny + 1)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from . import constitutive as con
 from .fem import tensor_dot
 from .state import (ControlTriple, Direction, PreconditionError, StateTrajectory,
                     System)
@@ -51,33 +50,28 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
         j = n - 1
         prev = traj.snapshot(j)
         cur = traj.snapshot(n)
-        phi_gp = quad.P @ prev.phi
-        strain_gp = quad.strain(prev.u)
-        stress_gp = con.stress(p, phi_gp, strain_gp)
+        coef = system.coefficients(prev)
         sig_gp = quad.P @ cur.sigma
         xi_gp = quad.P @ xi
 
         # nutrient direction (implicit, same operator as the forward step)
-        A = system.nutrient_operator(prev.phi, tau)
+        A = system.nutrient_operator(coef, tau)
         rhs = (p.kappa * (system.Mb @ system.embed_boundary(direction.h1[:, j]))
-               + quad.pair(-nl.h_prime(phi_gp) * (p.lambda_c * sig_gp - w.w3[j]) * xi_gp
-                           + nl.h(phi_gp) * direction.h3[j]))
+               + quad.pair(coef.nutrient_dphi(sig_gp, w.w3[j]) * xi_gp
+                           + coef.nutrient_dw3 * direction.h3[j]))
         if p.beta > 0:
             rhs = rhs + (p.beta / tau) * (system.M @ psi)
         psi_new = splu(A.tocsc()).solve(rhs)
-        psi_gp = quad.P @ psi_new
 
         # composition direction: exact derivative of the Newton-converged step
-        v_prev = lin_elasticity(xi)
-        dstress = p.C.apply(quad.strain(v_prev) - xi_gp[:, None] * p.misfit_strain)
-        g_gp = nl.g_of(stress_gp)
-        dU = (p.lambda_p * (psi_gp * nl.f(phi_gp) * g_gp
-                            + sig_gp * nl.f_prime(phi_gp) * g_gp * xi_gp
-                            + sig_gp * nl.f(phi_gp) * tensor_dot(nl.g_grad(stress_gp), dstress))
-              - (p.lambda_a + w.w2[j]) * nl.k_prime(phi_gp) * xi_gp
-              - direction.h2[j] * nl.k(phi_gp))
+        strain_v = quad.strain(lin_elasticity(xi))
+        dU = (coef.growth_dsigma * (quad.P @ psi_new)
+              + coef.growth_dphi(sig_gp, w.w2[j]) * xi_gp
+              + tensor_dot(coef.growth_dstress(sig_gp), p.C.apply(strain_v))
+              + coef.growth_dw2 * direction.h2[j])
+        dstress = p.C.apply(strain_v - xi_gp[:, None] * p.misfit_strain)
         rhs1 = (system.M @ xi) / tau + quad.pair(dU)
-        rhs2 = (quad.pair(nl.psi2_second(phi_gp) * xi_gp)
+        rhs2 = (quad.pair(nl.psi2_second(coef.phi) * xi_gp)
                 - p.chi * (system.M @ psi_new)
                 - quad.pair(tensor_dot(dstress, p.misfit_strain)))
         J = system.ch_jacobian(cur.phi, tau)
@@ -105,8 +99,7 @@ class FrechetReport:
             yield e, r
 
 
-def state_norm(system: System, traj_or_none, diffs, tau: float,
-               beta: float) -> float:
+def state_norm(system: System, diffs, tau: float, beta: float) -> float:
     """Discrete norm of a state-direction sequence.
 
     max-in-time L2 for the composition part, L2-in-time L2 for the potential
@@ -163,7 +156,7 @@ def frechet_check(system: System, phi0: np.ndarray, sigma0: np.ndarray,
                 eta=a.mu - b.mu - eps * l.eta,
                 psi=a.sigma - b.sigma - eps * l.psi,
                 v=a.u - b.u - eps * l.v, t=n * tau))
-        remainders.append(state_norm(system, base, diffs, tau, system.params.beta))
+        remainders.append(state_norm(system, diffs, tau, system.params.beta))
     remainders = np.asarray(remainders)
     good = remainders > 0
     slope = float(np.polyfit(np.log(eps_list[good]), np.log(remainders[good]), 1)[0]) \

@@ -74,7 +74,6 @@ class ControlProblem:
     T: float
     n_steps: int
     weights: CostWeights
-    adjoint_mode: str = "transpose"
 
     def __post_init__(self):
         self.space = self.system.control_space(self.T, self.n_steps)
@@ -87,11 +86,13 @@ class ControlProblem:
         traj = traj if traj is not None else self.solve(w)
         return eval_cost(self.system, traj, w, self.weights), traj
 
-    def gradient(self, w: ControlTriple, traj: StateTrajectory | None = None,
-                 mode: str | None = None) -> ReducedGradient:
+    def gradient(self, w: ControlTriple,
+                 traj: StateTrajectory | None = None) -> ReducedGradient:
+        """Reduced gradient from the transpose adjoint: line searches at
+        these tolerances need the exact discrete derivative, the continuous
+        mode is a fidelity diagnostic only."""
         traj = traj if traj is not None else self.solve(w)
-        adj = solve_adjoint(self.system, traj, w, self.weights,
-                            mode or self.adjoint_mode)
+        adj = solve_adjoint(self.system, traj, w, self.weights, "transpose")
         return reduced_gradient(self.system, traj, adj, w, self.weights)
 
     def smooth_cost(self, w: ControlTriple) -> float:
@@ -140,8 +141,12 @@ class IterateRecord:
 
 @dataclass
 class OptimizationReport:
+    """Outcome of ``optimize``; ``trajectory`` and ``gradient`` belong to
+    the final ``controls``."""
     history: list[IterateRecord]
     controls: ControlTriple
+    trajectory: StateTrajectory
+    gradient: ReducedGradient
     converged: bool
     stagnated: bool
     message: str
@@ -180,12 +185,7 @@ def _default_step(weights: CostWeights) -> float:
 
 def optimize(problem: ControlProblem, w0: ControlTriple,
              opts: OptimizeOptions | None = None) -> OptimizationReport:
-    """Minimise J1 + J2 over the admissible box from ``w0``.
-
-    Gradients always come from the transpose adjoint mode: line searches at
-    these tolerances need the exact discrete derivative, the continuous mode
-    is a fidelity diagnostic only.
-    """
+    """Minimise J1 + J2 over the admissible box from ``w0``."""
     opts = opts or OptimizeOptions()
     if not w0.is_admissible(tol=1e-14):
         raise PreconditionError("initial control is not admissible")
@@ -195,7 +195,7 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
 
     w = w0.copy()
     (J, J1, J2), traj = problem.cost(w)
-    grad = problem.gradient(w, traj, mode="transpose")
+    grad = problem.gradient(w, traj)
     gate_errors = []
     if opts.gate:
         gate_errors = gradient_fd_gate(problem, w, grad, opts.gate_directions,
@@ -239,7 +239,7 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
                        f"halvings at iteration {it}")
             break
 
-        grad_new = problem.gradient(trial, traj_t, mode="transpose")
+        grad_new = problem.gradient(trial, traj_t)
         ds = Direction.between(trial, w)
         dy = Direction.between(grad_new.direction(), grad.direction())
         sy = space.inner(ds, dy)
@@ -257,7 +257,8 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
             converged = True
             message = f"stationarity residual {residual:.3e} <= {threshold:.1e}"
 
-    report = OptimizationReport(history=history, controls=w,
+    report = OptimizationReport(history=history, controls=w, trajectory=traj,
+                                gradient=grad,
                                 converged=converged, stagnated=stagnated,
                                 message=message, residual=residual,
                                 gate_errors=gate_errors)
@@ -317,7 +318,6 @@ def zero_intervals(values: np.ndarray, zero_tol: float = 1e-10) -> list[tuple[in
 @dataclass
 class SparsityReport:
     """Per-step comparison of the dosage zero sets with their dual conditions."""
-    tau: float
     w2: np.ndarray
     kp_integral: np.ndarray
     w3: np.ndarray
@@ -343,16 +343,14 @@ class SparsityReport:
         return float(np.mean(zero[keep] == cond[keep]))
 
 
-def sparsity_report(system: System, traj: StateTrajectory,
-                    adj, w: ControlTriple, weights: CostWeights,
+def sparsity_report(grad: ReducedGradient, w: ControlTriple, weights: CostWeights,
                     zero_tol: float = 1e-10, slack: float = 1e-8) -> SparsityReport:
-    """Evaluate the zero-set characterisations of the two dosages."""
-    grad = reduced_gradient(system, traj, adj, w, weights)
+    """Evaluate the zero-set characterisations of the two dosages at ``w``,
+    whose reduced gradient is ``grad``."""
     kp, hr = grad.kp_integral, grad.hr_integral
     scale2 = max(1.0, weights.gamma4, float(np.abs(kp).max(initial=0.0)))
     scale3 = max(1.0, weights.gamma5, float(np.abs(hr).max(initial=0.0)))
     return SparsityReport(
-        tau=traj.tau,
         w2=w.w2.copy(), kp_integral=kp,
         w3=w.w3.copy(), hr_integral=hr,
         gamma4=weights.gamma4, gamma5=weights.gamma5,
@@ -367,15 +365,15 @@ def sparsity_report(system: System, traj: StateTrajectory,
     )
 
 
-def projection_formula_check(system: System, traj: StateTrajectory, adj,
-                             w: ControlTriple, weights: CostWeights,
+def projection_formula_check(grad: ReducedGradient, w: ControlTriple,
+                             weights: CostWeights,
                              zero_tol: float = 1e-10) -> dict[str, float]:
-    """Pointwise deviation of the controls from their projection formulas.
+    """Pointwise deviation of the controls ``w``, whose reduced gradient is
+    ``grad``, from their projection formulas.
 
     At a stationary point each deviation is bounded by the stationarity
     residual divided by the corresponding quadratic weight.
     """
-    grad = reduced_gradient(system, traj, adj, w, weights)
     b = w.bounds
     out: dict[str, float] = {}
     if weights.gamma1 > 0:

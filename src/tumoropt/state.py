@@ -347,23 +347,31 @@ class System:
             raise SolverError(f"elasticity solve failed: residual {res:.3e}")
         return u
 
+    # -- model coefficients ----------------------------------------------------
+
+    def coefficients(self, snap: StateSnapshot) -> con.GaussCoefficients:
+        """Gauss-point model coefficients of a snapshot's (phi, u)."""
+        quad = self.quad
+        return con.gauss_coefficients(self.params, self.nl, quad.xy,
+                                      quad.P @ snap.phi, quad.strain(snap.u))
+
     # -- nutrient step ---------------------------------------------------------
 
-    def nutrient_operator(self, phi_prev: np.ndarray, tau: float) -> sp.csr_matrix:
-        h_gp = self.nl.h(self.quad.P @ phi_prev)
+    def nutrient_operator(self, coef: con.GaussCoefficients,
+                          tau: float) -> sp.csr_matrix:
         A = (self.K + self.params.kappa * self.Mb
-             + self.quad.reaction_matrix(self.params.lambda_c * h_gp + self.params.B))
+             + self.quad.reaction_matrix(-coef.nutrient_dsigma))
         if self.params.beta > 0:
             A = A + (self.params.beta / tau) * self.M
         return A.tocsr()
 
-    def step_nutrient(self, sigma_prev: np.ndarray, phi_prev: np.ndarray,
+    def step_nutrient(self, sigma_prev: np.ndarray, coef: con.GaussCoefficients,
                       w1_step: np.ndarray, w3_step: float, tau: float) -> np.ndarray:
+        """One implicit nutrient step with the coefficients of the previous state."""
         p = self.params
-        h_gp = self.nl.h(self.quad.P @ phi_prev)
-        A = self.nutrient_operator(phi_prev, tau)
+        A = self.nutrient_operator(coef, tau)
         rhs = (p.kappa * (self.Mb @ self.embed_boundary(w1_step))
-               + self.quad.pair(h_gp * w3_step + p.B * p.sigma_c))
+               + self.quad.pair(coef.nutrient(0.0, w3_step)))
         if p.beta > 0:
             rhs = rhs + (p.beta / tau) * (self.M @ sigma_prev)
         sigma = splu(A.tocsc()).solve(rhs)
@@ -380,26 +388,20 @@ class System:
         return sp.bmat([[self.M / tau, self.K],
                         [-(self.K + S), self.M]], format="csc")
 
-    def step_cahn_hilliard(self, phi_prev: np.ndarray, u_prev: np.ndarray,
+    def step_cahn_hilliard(self, phi_prev: np.ndarray, coef: con.GaussCoefficients,
                            sigma_new: np.ndarray, w2_step: float,
                            tau: float) -> tuple[np.ndarray, np.ndarray]:
         """One implicit step of the composition pair (phi, mu).
 
         The convex potential part is implicit and solved by Newton; the
         concave part, the growth source and the elastic coupling use the
-        previous composition and displacement.
+        coefficients of the previous composition and displacement.
         """
-        p, nl, quad = self.params, self.nl, self.quad
-        phi_gp = quad.P @ phi_prev
-        strain_gp = quad.strain(u_prev)
-        stress_gp = con.stress(p, phi_gp, strain_gp)
-        sig_gp = quad.P @ sigma_new
-        U_gp = (p.lambda_p * sig_gp * nl.f(phi_gp) * nl.g_of(stress_gp)
-                - (p.lambda_a + w2_step) * nl.k(phi_gp))
-        FU = quad.pair(U_gp)
-        lagged = (quad.pair(nl.psi2_prime(phi_gp))
-                  + quad.pair(con.w_phi(p, phi_gp, strain_gp))
-                  - p.chi * (self.M @ sigma_new))
+        nl, quad = self.nl, self.quad
+        FU = quad.pair(coef.growth(quad.P @ sigma_new, w2_step))
+        lagged = (quad.pair(nl.psi2_prime(coef.phi))
+                  + quad.pair(coef.w_phi)
+                  - self.params.chi * (self.M @ sigma_new))
 
         phi = phi_prev.copy()
         mu = self._mass_lu.solve(self.K @ phi + quad.pair(nl.psi1_prime(quad.P @ phi))
@@ -445,9 +447,10 @@ class System:
                 tau: float) -> StateSnapshot:
         """Advance snapshot n-1 to n using control column n-1."""
         j = n - 1
-        sigma = self.step_nutrient(snap.sigma, snap.phi, controls.w1[:, j],
+        coef = self.coefficients(snap)
+        sigma = self.step_nutrient(snap.sigma, coef, controls.w1[:, j],
                                    float(controls.w3[j]), tau)
-        phi, mu = self.step_cahn_hilliard(snap.phi, snap.u, sigma,
+        phi, mu = self.step_cahn_hilliard(snap.phi, coef, sigma,
                                           float(controls.w2[j]), tau)
         if not (np.isfinite(phi).all() and np.isfinite(sigma).all()):
             raise SolverError(f"non-finite state at step {n}")

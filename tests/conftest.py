@@ -3,7 +3,7 @@ import pytest
 
 from tumoropt.constitutive import ModelParams, Nonlinearities
 from tumoropt.grid import build_grid
-from tumoropt.state import ControlBounds, System
+from tumoropt.state import ControlBounds, StateSnapshot, System
 
 
 def make_system(nx=6, ny=6, Lx=1.0, Ly=1.0, dirichlet="left", **params):
@@ -11,6 +11,13 @@ def make_system(nx=6, ny=6, Lx=1.0, Ly=1.0, dirichlet="left", **params):
     nl_kwargs = {k: params.pop(k) for k in ("weight_n", "g", "well_scale", "region")
                  if k in params}
     return System(grid, ModelParams(**params), Nonlinearities(**nl_kwargs))
+
+
+def coefficients_at(system, phi):
+    """Gauss-point coefficients of phi and its equilibrium displacement."""
+    snap = StateSnapshot(phi=phi, mu=None, sigma=None,
+                         u=system.solve_elasticity(phi), t=0.0)
+    return system.coefficients(snap)
 
 
 def tumour_ic(grid, cx=0.5, cy=0.5, radius=0.3, width=0.25):

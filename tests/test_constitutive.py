@@ -3,7 +3,8 @@ import pytest
 
 from tumoropt import constitutive as con
 from tumoropt.constitutive import DrugSchedule, ModelConfigError, ModelParams, Nonlinearities
-from tumoropt.fem import ElasticityTensor
+from tumoropt.cost import stress_load_density, stress_load_partials
+from tumoropt.fem import ElasticityTensor, tensor_dot
 
 
 @pytest.fixture
@@ -38,7 +39,6 @@ def test_psi_derivative_chain(nl, rng):
     for r in rng.uniform(-3, 3, size=100):
         assert abs(central(nl.psi_value, r) - nl.psi_prime(r)) < 1e-6 * max(1, abs(nl.psi_prime(r)))
         assert abs(central(nl.psi_prime, r) - nl.psi_second(r)) < 1e-6 * max(1, abs(nl.psi_second(r)))
-        assert abs(central(nl.psi_second, r) - nl.psi_third(r)) < 1e-6 * max(1, abs(nl.psi_third(r)))
 
 
 def test_psi_split_consistent_and_convex(nl):
@@ -79,24 +79,6 @@ def test_g_grad_matches_finite_differences(rng):
             assert abs(fd - expect) < 1e-6 * max(1.0, abs(expect))
 
 
-def test_g_hess_matches_finite_differences(rng):
-    a = rng.standard_normal((2, 2))
-    a = 0.5 * (a + a.T)
-    H = con.g_stress_hess(a)
-
-    def g_full(m):
-        return 1.0 / np.sqrt(1.0 + (m * m).sum())
-
-    e = 1e-4
-    for idx in ((0, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, 1), (0, 1, 0, 1)):
-        i, j, k, l = idx
-        p1 = np.zeros((2, 2)); p1[i, j] = e
-        p2 = np.zeros((2, 2)); p2[k, l] = e
-        fd = (g_full(a + p1 + p2) - g_full(a + p1 - p2)
-              - g_full(a - p1 + p2) + g_full(a - p1 - p2)) / (4 * e * e)
-        assert abs(fd - H[idx]) < 1e-5
-
-
 def test_g_constant_selector():
     nl = Nonlinearities(g="constant")
     a = np.random.default_rng(0).standard_normal((7, 3))
@@ -123,7 +105,6 @@ def test_ramp_bounds_and_lipschitz(nl):
 def test_ramp_derivatives_match_fd(nl, rng):
     for r in rng.uniform(-1.5, 1.5, size=100):
         assert abs(central(nl.f, r) - nl.f_prime(r)) < 1e-6
-        assert abs(central(nl.f_prime, r) - nl.f_second(r)) < 1e-5
 
 
 # -- weight n -------------------------------------------------------------------
@@ -186,41 +167,73 @@ def test_w_phi_degenerate_cases(params):
 
 # -- sources -------------------------------------------------------------------
 
+def _coefficients(params, nl, phi, strain_v):
+    return con.gauss_coefficients(params, nl, np.zeros(2), phi, strain_v)
+
+
 def test_source_U_zero_rates():
     p = ModelParams(lambda_p=0.0, lambda_a=0.0)
-    nl = Nonlinearities()
-    assert con.source_U(p, nl, 0.3, 0.8, np.zeros(3), 0.0) == 0.0
+    assert _coefficients(p, Nonlinearities(), 0.3, np.zeros(3)).growth(0.8, 0.0) == 0.0
 
 
 def test_source_U_host_tissue_inactive(params, nl):
     # f(-1) = k(-1) = 0: the host phase neither proliferates nor dies
-    assert con.source_U(params, nl, -1.0, 0.9, np.zeros(3), 0.4) == 0.0
+    assert _coefficients(params, nl, -1.0, np.zeros(3)).growth(0.9, 0.4) == 0.0
 
 
 def test_source_U_unit_growth(nl):
     p = ModelParams(lambda_p=1.0, lambda_a=0.0)
-    val = con.source_U(p, nl, 1.0, 1.0, p.bar_strain + p.misfit_strain, 0.0)
-    assert abs(val - 1.0) < 1e-15  # stress-free, f(1) = 1, g(0) = 1
+    coef = _coefficients(p, nl, 1.0, p.bar_strain + p.misfit_strain)
+    assert abs(coef.growth(1.0, 0.0) - 1.0) < 1e-15  # stress-free, f(1) = 1, g(0) = 1
 
 
 def test_source_S_balances(nl):
     p = ModelParams(lambda_c=1.0, B=0.7)
     # at sigma = sigma_c with no consumption the exchange term vanishes
-    assert con.source_S(p, nl, -1.0, p.sigma_c, 0.0) == 0.0
+    assert _coefficients(p, nl, -1.0, np.zeros(3)).nutrient(p.sigma_c, 0.0) == 0.0
     p0 = ModelParams(B=0.0, lambda_c=1.0)
-    assert abs(con.source_S(p0, nl, 1.0, 0.37, 0.0) + 0.37) < 1e-15
+    assert abs(_coefficients(p0, nl, 1.0, np.zeros(3)).nutrient(0.37, 0.0) + 0.37) < 1e-15
 
 
 def test_source_S_partials_fd(params, nl, rng):
-    for _ in range(100):
-        phi, sig, s_t = rng.uniform(-1, 1), rng.uniform(0, 1), rng.uniform(0, 0.5)
-        d_phi, d_sig = con.source_S_partials(params, nl, phi, sig, s_t)
-        fd_phi = (con.source_S(params, nl, phi + 1e-6, sig, s_t)
-                  - con.source_S(params, nl, phi - 1e-6, sig, s_t)) / 2e-6
-        fd_sig = (con.source_S(params, nl, phi, sig + 1e-6, s_t)
-                  - con.source_S(params, nl, phi, sig - 1e-6, s_t)) / 2e-6
-        assert abs(fd_phi - d_phi) < 1e-6
-        assert abs(fd_sig - d_sig) < 1e-6
+    """Every partial of the growth and nutrient sources, and of the stress
+    load, against central differences of its value formula."""
+    m, eps, w2, w3 = 50, 1e-6, 0.3, 0.2
+    xy = rng.uniform(0.0, 1.0, size=(m, 2))
+    # inside the linear part of the weight ramp n, away from its blends
+    phi = rng.uniform(-0.85, 0.85, size=m)
+    strain_v = 0.3 * rng.standard_normal((m, 3))
+    sig = rng.uniform(0.0, 1.0, size=m)
+    de = rng.standard_normal((m, 3))
+
+    def at(dphi=0.0, dstrain=0.0):
+        return con.gauss_coefficients(params, nl, xy, phi + dphi, strain_v + dstrain)
+
+    def central_diff(value):
+        return (value(eps) - value(-eps)) / (2 * eps)
+
+    c = at()
+    d_load_phi, d_load_stress = stress_load_partials(c)
+    cases = {
+        "growth_dsigma": (c.growth_dsigma,
+                          central_diff(lambda e: c.growth(sig + e, w2))),
+        "growth_dw2": (c.growth_dw2, central_diff(lambda e: c.growth(sig, w2 + e))),
+        "growth_dphi": (c.growth_dphi(sig, w2),
+                        central_diff(lambda e: at(dphi=e).growth(sig, w2))),
+        "growth_dstress": (tensor_dot(c.growth_dstress(sig), params.C.apply(de)),
+                           central_diff(lambda e: at(dstrain=e * de).growth(sig, w2))),
+        "nutrient_dsigma": (c.nutrient_dsigma,
+                            central_diff(lambda e: c.nutrient(sig + e, w3))),
+        "nutrient_dphi": (c.nutrient_dphi(sig, w3),
+                          central_diff(lambda e: at(dphi=e).nutrient(sig, w3))),
+        "nutrient_dw3": (c.nutrient_dw3, central_diff(lambda e: c.nutrient(sig, w3 + e))),
+        "stress_load_dphi": (d_load_phi, central_diff(
+            lambda e: 0.5 * stress_load_density(at(dphi=e)))),
+        "stress_load_dstress": (tensor_dot(d_load_stress, params.C.apply(de)), central_diff(
+            lambda e: 0.5 * stress_load_density(at(dstrain=e * de)))),
+    }
+    for name, (partial, fd) in cases.items():
+        assert np.abs(partial - fd).max() < 1e-6, name
 
 
 # -- drug schedule ---------------------------------------------------------------

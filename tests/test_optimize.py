@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tumoropt.adjoint import ReducedGradient, solve_adjoint
+from tumoropt.adjoint import ReducedGradient
 from tumoropt.cost import CostConfigError, CostWeights, eval_cost
 from tumoropt.optimize import (ControlProblem, GateError, OptimizeOptions,
                                SubgradientError, optimize,
@@ -224,8 +224,8 @@ def test_gradient_gate_detects_wrong_gradient(monkeypatch):
     w0 = interior_controls(prob.system, prob.n_steps)
     real = prob.gradient
 
-    def broken(w, traj=None, mode=None):
-        g = real(w, traj, mode)
+    def broken(w, traj=None):
+        g = real(w, traj)
         return ReducedGradient(g1=2.0 * g.g1, g2=g.g2, g3=g.g3,
                                kp_integral=g.kp_integral,
                                hr_integral=g.hr_integral)
@@ -257,17 +257,13 @@ def _converged(prob, tol=1e-8, iters=200):
     w0 = interior_controls(prob.system, prob.n_steps)
     rep = optimize(prob, w0, OptimizeOptions(max_iterations=iters, tol=tol))
     assert rep.converged
-    traj = prob.solve(rep.controls)
-    adj = solve_adjoint(prob.system, traj, rep.controls, prob.weights,
-                        "transpose")
-    return rep, traj, adj
+    return rep
 
 
 def test_subgradient_cases():
     prob = _problem()
-    rep, traj, adj = _converged(prob)
-    grad = prob.gradient(rep.controls, traj)
-    lam2, lam3 = recover_subgradients(rep.controls, grad, prob.weights)
+    rep = _converged(prob)
+    lam2, lam3 = recover_subgradients(rep.controls, rep.gradient, prob.weights)
     assert (np.abs(lam2) <= 1.0).all() and (np.abs(lam3) <= 1.0).all()
     assert np.all(lam2[rep.controls.w2 > 1e-10] == 1.0)
     assert np.all(lam3[rep.controls.w3 > 1e-10] == 1.0)
@@ -292,8 +288,8 @@ def test_zero_intervals_extraction():
 
 def test_sparsity_report_agreement_at_convergence():
     prob = _problem()
-    rep, traj, adj = _converged(prob)
-    sr = sparsity_report(prob.system, traj, adj, rep.controls, prob.weights)
+    rep = _converged(prob)
+    sr = sparsity_report(rep.gradient, rep.controls, prob.weights)
     assert sr.agreement("w2") >= 0.99
     assert sr.agreement("w3") >= 0.99
     # interval extraction matches a direct scan
@@ -303,21 +299,18 @@ def test_sparsity_report_agreement_at_convergence():
 
 def test_projection_formulas_at_convergence():
     prob = _problem()
-    rep, traj, adj = _converged(prob)
-    dev = projection_formula_check(prob.system, traj, adj, rep.controls,
-                                   prob.weights)
+    rep = _converged(prob)
+    dev = projection_formula_check(rep.gradient, rep.controls, prob.weights)
     assert dev["max"] <= 1e-6
 
 
 def test_projection_formula_detects_perturbation():
     prob = _problem()
-    rep, traj, adj = _converged(prob)
+    rep = _converged(prob)
     w = rep.controls.copy()
     w.w1 = np.clip(w.w1 + 1e-3, w.bounds.w1_lo, w.bounds.w1_hi)
     w.w2 = np.clip(w.w2 + 1e-3, w.bounds.w2_lo, w.bounds.w2_hi)
-    traj_p = prob.solve(w)
-    adj_p = solve_adjoint(prob.system, traj_p, w, prob.weights, "transpose")
-    dev = projection_formula_check(prob.system, traj_p, adj_p, w, prob.weights)
+    dev = projection_formula_check(prob.gradient(w), w, prob.weights)
     assert dev["max"] >= 1e-4
 
 
@@ -329,7 +322,6 @@ def test_projection_formula_trivial_minimum():
                           gamma4=0.01, gamma5=0.01,
                           phi_Q=np.zeros(1), phi_Omega=np.zeros(1))
     prob = _problem(nx=4, ny=4, N=4, weights=weights)
-    rep, traj, adj = _converged(prob, iters=30)
-    dev = projection_formula_check(prob.system, traj, adj, rep.controls,
-                                   prob.weights)
+    rep = _converged(prob, iters=30)
+    dev = projection_formula_check(rep.gradient, rep.controls, prob.weights)
     assert dev["max"] <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from tumoropt.state import ControlBounds, PreconditionError, TimestepError
 
-from conftest import interior_controls, make_system, tumour_ic
+from conftest import coefficients_at, interior_controls, make_system, tumour_ic
 
 
 # -- elasticity -----------------------------------------------------------------
@@ -51,9 +51,9 @@ def test_ch_step_constant_equilibrium():
                        misfit_strain=np.zeros(3))
     nn = sysd.grid.n_nodes
     phi0 = np.full(nn, 0.4)
-    u0 = sysd.solve_elasticity(phi0)
     sigma = np.full(nn, 0.9)
-    phi1, mu1 = sysd.step_cahn_hilliard(phi0, u0, sigma, 0.0, 0.05)
+    phi1, mu1 = sysd.step_cahn_hilliard(phi0, coefficients_at(sysd, phi0), sigma,
+                                        0.0, 0.05)
     assert np.abs(phi1 - 0.4).max() < 1e-13
 
 
@@ -61,9 +61,9 @@ def test_ch_step_mass_conserved_without_sources():
     sysd = make_system(6, 6, lambda_p=0.0, lambda_a=0.0)
     grid = sysd.grid
     phi0 = tumour_ic(grid)
-    u0 = sysd.solve_elasticity(phi0)
     sigma = np.full(grid.n_nodes, 1.0)
-    phi1, _ = sysd.step_cahn_hilliard(phi0, u0, sigma, 0.0, 0.02)
+    phi1, _ = sysd.step_cahn_hilliard(phi0, coefficients_at(sysd, phi0), sigma,
+                                      0.0, 0.02)
     m0 = sysd.integrate_nodal(phi0)
     m1 = sysd.integrate_nodal(phi1)
     assert abs(m1 - m0) <= 1e-10 * max(1.0, abs(m0))
@@ -74,9 +74,9 @@ def test_ch_step_newton_divergence_reported():
     sysd.newton_max_iter = 2
     grid = sysd.grid
     phi0 = tumour_ic(grid, width=0.08)
-    u0 = sysd.solve_elasticity(phi0)
     with pytest.raises(TimestepError):
-        sysd.step_cahn_hilliard(phi0, u0, np.ones(grid.n_nodes), 0.0, 50.0)
+        sysd.step_cahn_hilliard(phi0, coefficients_at(sysd, phi0),
+                                np.ones(grid.n_nodes), 0.0, 50.0)
 
 
 # -- nutrient step ------------------------------------------------------------------
@@ -87,7 +87,8 @@ def test_nutrient_elliptic_constant_solution():
     grid = sysd.grid
     phi = tumour_ic(grid)
     w1 = np.full(grid.n_boundary_nodes, sysd.params.sigma_c)
-    sig = sysd.step_nutrient(np.zeros(grid.n_nodes), phi, w1, 0.0, 0.1)
+    sig = sysd.step_nutrient(np.zeros(grid.n_nodes), coefficients_at(sysd, phi),
+                             w1, 0.0, 0.1)
     assert np.abs(sig - sysd.params.sigma_c).max() < 1e-11
 
 
@@ -97,8 +98,9 @@ def test_nutrient_parabolic_equilibrium_preserved():
     phi = tumour_ic(grid)
     sig = np.full(grid.n_nodes, sysd.params.sigma_c)
     w1 = np.full(grid.n_boundary_nodes, sysd.params.sigma_c)
+    coef = coefficients_at(sysd, phi)
     for _ in range(3):
-        sig = sysd.step_nutrient(sig, phi, w1, 0.0, 0.05)
+        sig = sysd.step_nutrient(sig, coef, w1, 0.0, 0.05)
     assert np.abs(sig - sysd.params.sigma_c).max() < 1e-11
 
 
