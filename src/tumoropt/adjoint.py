@@ -26,8 +26,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .cost import CostWeights, running_cost_sources
-from .state import (ControlTriple, Direction, PreconditionError, SolverError,
-                    StateTrajectory, System)
+from .state import (SPLU_OPTIONS, ControlTriple, Direction, PreconditionError,
+                    SolverError, StateTrajectory, System)
 
 ADJOINT_MODES = ("transpose", "continuous")
 
@@ -81,8 +81,8 @@ def _composition_multipliers(system: System, phi: np.ndarray, rhs1: np.ndarray,
                              tau: float) -> tuple[np.ndarray, np.ndarray]:
     """(p, q) from the transposed composition Jacobian at ``phi``."""
     nn = system.grid.n_nodes
-    J = system.ch_jacobian(phi, tau)
-    sol = splu(J.T.tocsc()).solve(np.concatenate([rhs1, np.zeros(nn)]))
+    lu = splu(system.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
+    sol = lu.solve(np.concatenate([rhs1, np.zeros(nn)]), trans="T")
     # the adjoint block is the Jacobian transpose conjugated by
     # diag(I, -I): solve J^T (x, y) = (rhs1, 0), then (p, q) = (x, -y)
     return sol[:nn], -sol[nn:]
@@ -94,7 +94,8 @@ def _nutrient_multiplier(system: System, coef, p, q, r_next, tau: float) -> np.n
     rhs = quad.pair(coef.growth_dsigma * (quad.P @ p)) + params.chi * (system.M @ q)
     if params.beta > 0:
         rhs = rhs + (params.beta / tau) * (system.M @ r_next)
-    return splu(system.nutrient_operator(coef, tau).tocsc()).solve(rhs)
+    A = system.nutrient_operator(coef, tau).tocsc()
+    return splu(A, **SPLU_OPTIONS["spd"]).solve(rhs)
 
 
 def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeights,

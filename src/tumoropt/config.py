@@ -1,9 +1,10 @@
 """Run configuration: flat ``section.key = value`` text files.
 
 Every key has a typed schema entry with a default; unknown or duplicate keys
-are rejected with their line number, and constraint violations name the
-validation rule (A1, A5, A7) they break.  ``dumps(load(path))`` is canonical:
-loading the dump reproduces the configuration exactly.
+and non-finite numbers are rejected with their line number, and constraint
+violations name the validation rule (A1, A5, A7) they break.
+``dumps(load(path))`` is canonical: loading the dump reproduces the
+configuration exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    return tuple(_float(v) for v in text.replace(",", " ").split())
 
 
 def _fmt(value) -> str:
@@ -35,7 +43,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -43,68 +51,68 @@ def _fmt(value) -> str:
 SCHEMA: dict[str, tuple] = {
     "grid.nx": (int, 32),
     "grid.ny": (int, 32),
-    "grid.Lx": (float, 1.0),
-    "grid.Ly": (float, 1.0),
+    "grid.Lx": (_float, 1.0),
+    "grid.Ly": (_float, 1.0),
     "grid.dirichlet": (str, "left"),
-    "time.T": (float, 1.0),
+    "time.T": (_float, 1.0),
     "time.steps": (int, 64),
-    "model.beta": (float, 1.0),
-    "model.B": (float, 0.5),
-    "model.kappa": (float, 1.0),
-    "model.chi": (float, 0.05),
-    "model.lambda_p": (float, 0.5),
-    "model.lambda_a": (float, 0.1),
-    "model.lambda_c": (float, 1.0),
-    "model.sigma_c": (float, 1.0),
+    "model.beta": (_float, 1.0),
+    "model.B": (_float, 0.5),
+    "model.kappa": (_float, 1.0),
+    "model.chi": (_float, 0.05),
+    "model.lambda_p": (_float, 0.5),
+    "model.lambda_a": (_float, 0.1),
+    "model.lambda_c": (_float, 1.0),
+    "model.sigma_c": (_float, 1.0),
     "model.elasticity": (str, "isotropic"),
-    "model.lame_lambda": (float, 1.0),
-    "model.lame_mu": (float, 1.0),
+    "model.lame_lambda": (_float, 1.0),
+    "model.lame_mu": (_float, 1.0),
     "model.elasticity_voigt": (_floats, (3.0, 1.0, 0.0, 1.0, 3.0, 0.0, 0.0, 0.0, 2.0)),
     "model.bar_strain": (_floats, (0.0, 0.0, 0.0)),
     "model.misfit_strain": (_floats, (0.05, 0.05, 0.0)),
     "model.g_load": (_floats, (0.0, 0.0)),
     "model.psi": (str, "quartic"),
-    "model.well_scale": (float, 1.0),
+    "model.well_scale": (_float, 1.0),
     "model.response_g": (str, "inverse_sqrt"),
     "model.weight_n": (str, "ramp"),
     "model.weight_region": (_floats, (0.0, 1.0, 0.0, 1.0)),
     "ic.phi": (str, "circle:0.5,0.5,0.3,0.25"),
     "ic.sigma": (str, "constant:1.0"),
-    "cost.alpha_Q": (float, 0.0),
-    "cost.alpha_Omega": (float, 1.0),
-    "cost.alpha_E": (float, 0.0),
-    "cost.gamma1": (float, 0.1),
-    "cost.gamma2": (float, 0.1),
-    "cost.gamma3": (float, 0.1),
-    "cost.gamma4": (float, 0.0),
-    "cost.gamma5": (float, 0.0),
+    "cost.alpha_Q": (_float, 0.0),
+    "cost.alpha_Omega": (_float, 1.0),
+    "cost.alpha_E": (_float, 0.0),
+    "cost.gamma1": (_float, 0.1),
+    "cost.gamma2": (_float, 0.1),
+    "cost.gamma3": (_float, 0.1),
+    "cost.gamma4": (_float, 0.0),
+    "cost.gamma5": (_float, 0.0),
     "cost.phi_Q": (str, "constant:0.0"),
     "cost.phi_Omega": (str, "constant:0.0"),
-    "control.w1_min": (float, 0.0),
-    "control.w1_max": (float, 1.0),
-    "control.w2_min": (float, 0.0),
-    "control.w2_max": (float, 0.8),
-    "control.w3_min": (float, 0.0),
-    "control.w3_max": (float, 0.8),
+    "control.w1_min": (_float, 0.0),
+    "control.w1_max": (_float, 1.0),
+    "control.w2_min": (_float, 0.0),
+    "control.w2_max": (_float, 0.8),
+    "control.w3_min": (_float, 0.0),
+    "control.w3_max": (_float, 0.8),
     "control.initial": (str, "schedule"),
-    "drug.dosage": (float, 0.5),
+    "drug.dosage": (_float, 0.5),
     "drug.times": (_floats, (0.0, 0.35, 0.7)),
-    "drug.lifetime": (float, 0.2),
-    "solver.newton_tol": (float, 1e-12),
+    "drug.lifetime": (_float, 0.2),
+    "solver.newton_tol": (_float, 1e-12),
     "solver.newton_max_iter": (int, 50),
-    "solver.lin_rtol": (float, 1e-10),
+    "solver.lin_rtol": (_float, 1e-10),
     "solver.checkpoint_every": (int, 0),
     "opt.max_iterations": (int, 200),
-    "opt.tol": (float, 1e-8),
-    "opt.step0": (float, 0.0),
-    "opt.armijo": (float, 1e-4),
+    "opt.tol": (_float, 1e-8),
+    "opt.step0": (_float, 0.0),
+    "opt.armijo": (_float, 1e-4),
     "opt.max_halvings": (int, 40),
     "opt.gate": (int, 1),
     "experiment.name": (str, "forward"),
     "experiment.seed": (int, 0),
     "experiment.trials": (int, 1),
     "experiment.directions": (int, 3),
-    "experiment.fd_eps": (float, 1e-4),
+    "experiment.fd_eps": (_float, 1e-4),
     "experiment.eps_values": (_floats, (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3)),
     "experiment.gamma4_values": (_floats, (0.01, 0.1, 1.0, 10.0, 100.0)),
     "experiment.vtk_every": (int, 0),
@@ -213,8 +221,7 @@ class RunConfig:
         return CostWeights(
             **_scalar_weights(self),
             phi_Q=ingest_target(self["cost.phi_Q"], grid, self),
-            phi_Omega=ingest_target(self["cost.phi_Omega"], grid, self),
-            weight_n=self["model.weight_n"])
+            phi_Omega=ingest_target(self["cost.phi_Omega"], grid, self))
 
 
 def _scalar_weights(cfg: RunConfig) -> dict[str, float]:
@@ -264,6 +271,9 @@ def validate_config(cfg: RunConfig) -> None:
                           f"expected one of {EXPERIMENTS}")
     if cfg["solver.checkpoint_every"] < 0:
         raise ConfigError("solver.checkpoint_every must be >= 0")
+    for key in ("solver.newton_tol", "solver.lin_rtol"):
+        if cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive")
     # constraint rules of the parameter and weight bundles, raised eagerly so
     # errors carry the config context rather than a solver stack
     try:
@@ -286,15 +296,10 @@ def dumps(cfg: RunConfig) -> str:
 
 
 def default_config(**overrides) -> RunConfig:
-    values = {k: default for k, (_, default) in SCHEMA.items()}
-    for key, val in overrides.items():
-        key = key.replace("__", ".")
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r}")
-        values[key] = val
-    cfg = RunConfig(values)
-    validate_config(cfg)
-    return cfg
+    """The defaults with ``section__key=value`` overrides, parsed as file lines."""
+    text = "".join(f"{key.replace('__', '.')} = {_fmt(val)}\n"
+                   for key, val in overrides.items())
+    return parse_config(text, source="<overrides>")
 
 
 # ---------------------------------------------------------------------------

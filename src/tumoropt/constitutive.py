@@ -142,8 +142,9 @@ class ModelParams:
     def __post_init__(self):
         for name in ("beta", "B", "kappa", "chi", "lambda_p", "lambda_a",
                      "lambda_c", "sigma_c"):
-            if getattr(self, name) < 0:
-                raise ModelConfigError(f"rate constant {name} must be non-negative (A1)")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ModelConfigError(
+                    f"rate constant {name} must be finite and non-negative (A1)")
         if self.beta == 0 and self.B == 0 and self.kappa == 0:
             raise ModelConfigError(
                 "beta = 0 requires B > 0 or kappa > 0 (A1), otherwise the "

@@ -38,13 +38,12 @@ class CostWeights:
     gamma5: float = 0.0
     phi_Q: np.ndarray = field(default_factory=lambda: np.zeros(1))
     phi_Omega: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    weight_n: str = "ramp"
 
     def __post_init__(self):
         vals = [self.alpha_Q, self.alpha_Omega, self.alpha_E,
                 self.gamma1, self.gamma2, self.gamma3, self.gamma4, self.gamma5]
-        if any(v < 0 for v in vals):
-            raise CostConfigError("cost weights must be non-negative (A7)")
+        if not all(0 <= v < np.inf for v in vals):
+            raise CostConfigError("cost weights must be finite and non-negative (A7)")
         if all(v == 0 for v in vals):
             raise CostConfigError("cost weights must not all vanish (A7)")
         if self.gamma4 > 0 and self.gamma2 <= 0:

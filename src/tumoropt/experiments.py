@@ -240,10 +240,10 @@ def run_optimize(cfg, outdir: Path, seed: int):
 
 
 def run_gamma_sweep(cfg, outdir: Path, seed: int):
-    if cfg["cost.gamma2"] <= 0:
-        raise cfgmod.ConfigError(
-            "gamma sweep needs gamma2 > 0 so the swept gamma4 stays admissible (A7)")
     values = cfg["experiment.gamma4_values"]
+    # fail before the first optimisation if any swept weight set breaks A7
+    for g4 in values:
+        cfgmod.validate_config(cfgmod.RunConfig({**cfg.values, "cost.gamma4": g4}))
     T, N = cfg["time.T"], cfg["time.steps"]
     tau = T / N
     rows = []

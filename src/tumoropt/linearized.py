@@ -15,8 +15,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .fem import tensor_dot
-from .state import (ControlTriple, Direction, PreconditionError, StateTrajectory,
-                    System)
+from .state import (SPLU_OPTIONS, ControlTriple, Direction, PreconditionError,
+                    StateTrajectory, System)
 
 
 @dataclass
@@ -39,9 +39,6 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
     p, nl, quad = system.params, system.nl, system.quad
     nn = grid.n_nodes
 
-    def lin_elasticity(xi):
-        return system.solve_elastic_free(system.Bc @ xi)
-
     xi = np.zeros(nn)
     psi = np.zeros(nn)
     out = [LinearisedSnapshot(xi=xi, eta=np.zeros(nn), psi=psi,
@@ -61,10 +58,10 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
                            + coef.nutrient_dw3 * direction.h3[j]))
         if p.beta > 0:
             rhs = rhs + (p.beta / tau) * (system.M @ psi)
-        psi_new = splu(A.tocsc()).solve(rhs)
+        psi_new = splu(A.tocsc(), **SPLU_OPTIONS["spd"]).solve(rhs)
 
         # composition direction: exact derivative of the Newton-converged step
-        strain_v = quad.strain(lin_elasticity(xi))
+        strain_v = quad.strain(out[-1].v)
         dU = (coef.growth_dsigma * (quad.P @ psi_new)
               + coef.growth_dphi(sig_gp, w.w2[j]) * xi_gp
               + tensor_dot(coef.growth_dstress(sig_gp), p.C.apply(strain_v))
@@ -75,12 +72,13 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
                 - p.chi * (system.M @ psi_new)
                 - quad.pair(tensor_dot(dstress, p.misfit_strain)))
         J = system.ch_jacobian(cur.phi, tau)
-        sol = splu(J).solve(np.concatenate([rhs1, rhs2]))
+        sol = splu(J, **SPLU_OPTIONS["ch"]).solve(np.concatenate([rhs1, rhs2]))
         xi = sol[:nn]
         eta = sol[nn:]
         psi = psi_new
         out.append(LinearisedSnapshot(xi=xi, eta=eta, psi=psi,
-                                      v=lin_elasticity(xi), t=n * tau))
+                                      v=system.solve_elastic_free(system.Bc @ xi),
+                                      t=n * tau))
     return out
 
 

@@ -37,6 +37,24 @@ class PreconditionError(ValueError):
     pass
 
 
+# SuperLU settings per operator kind: the one factorization policy of the
+# forward, linearised and adjoint sweeps.  Every factorization calls the
+# ``splu`` name of its own module, which perfbench/tracing.py rebinds.
+#
+# ``ch``: the nonsymmetric Cahn-Hilliard block Jacobian, ordered by minimum
+# degree on the pattern of A^T + A.
+# ``spd``: the nutrient operator K + kappa Mb + P^T diag(w (lambda_c h + B)) P
+# + (beta/tau) M, the mass matrix and the reduced elasticity block.  They are
+# symmetric positive definite (A1 keeps every nutrient term non-negative and
+# one of them definite; C is positive definite and the pinned edge removes
+# the rigid motions), so diagonal pivots in a symmetric ordering are stable.
+SPLU_OPTIONS = {
+    "ch": dict(permc_spec="MMD_AT_PLUS_A"),
+    "spd": dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True)),
+}
+
+
 # ---------------------------------------------------------------------------
 # controls
 # ---------------------------------------------------------------------------
@@ -291,10 +309,10 @@ class System:
         self.M = fem.assemble_mass(grid, self.quad)
         self.K = fem.assemble_stiffness(grid, self.quad)
         self.Mb = fem.assemble_boundary_mass(grid, "gamma")
-        self._mass_lu = splu(self.M.tocsc())
+        self._mass_lu = splu(self.M.tocsc(), **SPLU_OPTIONS["spd"])
 
         self.A_red, self.free = fem.assemble_elasticity(grid, params.C, self.quad)
-        self._elas_lu = splu(self.A_red)
+        self._elas_lu = splu(self.A_red, **SPLU_OPTIONS["spd"])
         self.Bc = fem.assemble_coupling_phi_to_strain(grid, params.C,
                                                       params.misfit_strain, self.quad)
         bar_stress = np.tile(params.C.apply(params.bar_strain), (self.quad.nq, 1))
@@ -374,7 +392,7 @@ class System:
                + self.quad.pair(coef.nutrient(0.0, w3_step)))
         if p.beta > 0:
             rhs = rhs + (p.beta / tau) * (self.M @ sigma_prev)
-        sigma = splu(A.tocsc()).solve(rhs)
+        sigma = splu(A.tocsc(), **SPLU_OPTIONS["spd"]).solve(rhs)
         res = np.linalg.norm(A @ sigma - rhs)
         if not np.isfinite(res) or res > max(self.lin_rtol * max(np.linalg.norm(rhs), 1.0), 1e-13):
             raise SolverError(f"nutrient solve failed: residual {res:.3e}")
@@ -419,7 +437,7 @@ class System:
             if np.linalg.norm(res) <= self.newton_tol * scale:
                 break
             J = self.ch_jacobian(phi, tau)
-            delta = splu(J).solve(-res)
+            delta = splu(J, **SPLU_OPTIONS["ch"]).solve(-res)
             phi = phi + delta[:phi.size]
             mu = mu + delta[phi.size:]
             res = residual(phi, mu)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from tumoropt.adjoint import reduced_gradient, solve_adjoint
 from tumoropt.cost import CostWeights, directional_cost_derivative, eval_cost
 from tumoropt.linearized import solve_linearised
-from tumoropt.state import Direction, PreconditionError
+from tumoropt.state import SPLU_OPTIONS, Direction, PreconditionError
 
 from conftest import interior_controls, make_system, tumour_ic
 
@@ -61,6 +62,16 @@ def test_terminal_condition_exact():
         expect = weights.alpha_Omega * (traj.snapshot(N).phi - weights.phi_Omega)
         assert np.abs(adj[N].p - expect).max() == 0.0
         assert np.abs(adj[N].r).max() == 0.0  # beta > 0
+
+
+def test_transpose_solve_matches_factored_transpose(rng):
+    # the adjoint solves with J^T through the factor of J (trans="T")
+    sysd, _, _, _, traj, _, _ = _setup(nx=12, ny=12)
+    J = sysd.ch_jacobian(traj.final().phi, traj.tau)
+    b = rng.standard_normal(J.shape[0])
+    x = splu(J, **SPLU_OPTIONS["ch"]).solve(b, trans="T")
+    ref = splu(J.T.tocsc()).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_duality_identity_transpose(rng):

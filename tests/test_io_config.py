@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,19 @@ def test_duplicate_key_rejected():
 def test_bad_value_reported():
     with pytest.raises(ConfigError, match="grid.nx"):
         parse_config("grid.nx = four\n")
+
+
+@pytest.mark.parametrize("line", ["cost.gamma4 = nan", "model.kappa = nan",
+                                  "time.T = inf", "opt.tol = nan",
+                                  "solver.newton_tol = -1"])
+def test_non_finite_or_non_positive_value_rejected(line):
+    key, _, value = line.partition(" = ")
+    with pytest.raises(ConfigError, match=re.escape(key)) as exc:
+        parse_config(f"grid.nx = 4\n{line}\n", source="run.cfg")
+    if not math.isfinite(float(value)):
+        assert "run.cfg:2:" in str(exc.value)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        default_config(**{key.replace(".", "__"): float(value)})
 
 
 def test_degenerate_nutrient_cited():

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tumoropt.config import default_config, load_config
 from tumoropt.state import ControlBounds, PreconditionError, TimestepError
 
 from conftest import coefficients_at, interior_controls, make_system, tumour_ic
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 # -- elasticity -----------------------------------------------------------------
@@ -102,6 +107,20 @@ def test_nutrient_parabolic_equilibrium_preserved():
     for _ in range(3):
         sig = sysd.step_nutrient(sig, coef, w1, 0.0, 0.05)
     assert np.abs(sig - sysd.params.sigma_c).max() < 1e-11
+
+
+@pytest.mark.parametrize("source", ["default", "optimize_sparse.cfg"])
+def test_spd_operators_symmetric_positive_definite(source):
+    # the "spd" factorization policy pivots on the diagonal without row exchanges
+    cfg = default_config() if source == "default" else load_config(CONFIG_DIR / source)
+    sysd = cfg.build_system()
+    phi0, _ = cfg.initial_fields(sysd)
+    nutrient = sysd.nutrient_operator(coefficients_at(sysd, phi0),
+                                      cfg["time.T"] / cfg["time.steps"])
+    for A in (nutrient, sysd.A_red):
+        assert (A != A.T).nnz == 0
+        assert A.diagonal().min() > 0
+        np.linalg.cholesky(A.toarray())
 
 
 def test_nutrient_beta_zero_requires_exchange():
