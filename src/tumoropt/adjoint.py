@@ -39,6 +39,10 @@ class AdjointSnapshot:
     r: np.ndarray       # nutrient multiplier
     s: np.ndarray       # displacement multiplier (2 nn,)
     t: float
+    # dosage sensitivities of control column j, evaluated with the
+    # coefficients of snapshot j; NaN on the terminal level
+    kp: float = np.nan  # -int growth_dw2 (P p) dx
+    hr: float = np.nan  # int nutrient_dw3 (P r) dx
 
 
 @dataclass
@@ -169,26 +173,29 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
             s = system.solve_elastic_free(_displacement_source(
                 system, coef, sig_gp, p, q, cost_load))
 
-        out[j] = AdjointSnapshot(p=p, q=q, r=r, s=s, t=j * tau)
+        kp = -quad.integrate(coef.growth_dw2 * (quad.P @ p))
+        hr = quad.integrate(coef.nutrient_dw3 * (quad.P @ r))
+        out[j] = AdjointSnapshot(p=p, q=q, r=r, s=s, t=j * tau, kp=kp, hr=hr)
     return out  # type: ignore[return-value]
 
 
 def reduced_gradient(system: System, traj: StateTrajectory,
                      adj: list[AdjointSnapshot], w: ControlTriple,
                      weights: CostWeights) -> ReducedGradient:
-    """Gradient of the smooth cost part in the discrete control metric."""
+    """Gradient of the smooth cost part in the discrete control metric.
+
+    Reads the multipliers and dosage sensitivities of ``adj`` only; the
+    trajectory is not walked, so a disk-checkpointed one is not regenerated.
+    """
     N = traj.n_steps
-    quad = system.quad
+    if len(adj) != N + 1 or w.n_steps != N:
+        raise PreconditionError("adjoint or control layout does not match the trajectory")
     g1 = np.empty_like(w.w1)
-    kp = np.empty(N)
-    hr = np.empty(N)
     for j in range(N):
-        snap = traj.snapshot(j)
-        coef = system.coefficients(snap)
         g1[:, j] = (weights.gamma1 * w.w1[:, j]
                     + system.params.kappa * system.boundary_trace_avg(adj[j].r))
-        kp[j] = -quad.integrate(coef.growth_dw2 * (quad.P @ adj[j].p))
-        hr[j] = quad.integrate(coef.nutrient_dw3 * (quad.P @ adj[j].r))
+    kp = np.array([a.kp for a in adj[:N]])
+    hr = np.array([a.hr for a in adj[:N]])
     g2 = weights.gamma2 * w.w2 - kp
     g3 = weights.gamma3 * w.w3 + hr
     return ReducedGradient(g1=g1, g2=g2, g3=g3, kp_integral=kp, hr_integral=hr)

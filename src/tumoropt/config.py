@@ -274,6 +274,9 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("solver.newton_tol", "solver.lin_rtol"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    if not cfg["experiment.gamma4_values"]:
+        raise ConfigError("experiment.gamma4_values must list at least one "
+                          "cost.gamma4 weight (A7)")
     # constraint rules of the parameter and weight bundles, raised eagerly so
     # errors carry the config context rather than a solver stack
     try:

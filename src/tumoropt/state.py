@@ -54,6 +54,10 @@ SPLU_OPTIONS = {
                 options=dict(SymmetricMode=True)),
 }
 
+# A composition Newton correction that leaves more than this fraction of the
+# residual norm makes the next correction refactor the Jacobian.
+CHORD_CONTRACTION = 0.1
+
 
 # ---------------------------------------------------------------------------
 # controls
@@ -432,21 +436,29 @@ class System:
             return np.concatenate([r1, r2])
 
         res = residual(phi, mu)
-        scale = max(np.linalg.norm(res), np.linalg.norm(FU), 1.0)
-        for _ in range(self.newton_max_iter):
-            if np.linalg.norm(res) <= self.newton_tol * scale:
-                break
-            J = self.ch_jacobian(phi, tau)
-            delta = splu(J, **SPLU_OPTIONS["ch"]).solve(-res)
-            phi = phi + delta[:phi.size]
-            mu = mu + delta[phi.size:]
+        norm = np.linalg.norm(res)
+        scale = max(norm, np.linalg.norm(FU), 1.0)
+        # chord Newton: the Jacobian is factored at the step's start state and
+        # refactored only at an iterate where a correction contracted too little
+        lu = None
+        corrections = 0
+        while not norm <= self.newton_tol * scale:  # NaN-safe
+            if corrections >= self.newton_max_iter:
+                raise TimestepError(
+                    f"composition Newton did not converge in {corrections} "
+                    f"corrections (residual {norm:.3e}); reduce the timestep")
+            if lu is None:
+                lu = splu(self.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
+            delta = lu.solve(-res)
+            phi += delta[:phi.size]
+            mu += delta[phi.size:]
             res = residual(phi, mu)
             if not np.isfinite(res).all():
                 raise TimestepError("composition Newton diverged (non-finite residual)")
-        else:
-            raise TimestepError(
-                f"composition Newton did not converge in {self.newton_max_iter} "
-                f"iterations (residual {np.linalg.norm(res):.3e}); reduce the timestep")
+            corrections += 1
+            norm, prev = np.linalg.norm(res), norm
+            if norm > CHORD_CONTRACTION * prev:
+                lu = None
         return phi, mu
 
     # -- trajectory --------------------------------------------------------------

@@ -130,6 +130,11 @@ def test_all_weights_zero_cited():
                        cost__gamma3=0.0)
 
 
+def test_empty_gamma_sweep_rejected():
+    with pytest.raises(ConfigError, match=r"experiment\.gamma4_values.*A7"):
+        parse_config("experiment.name = gamma_sweep\nexperiment.gamma4_values =\n")
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError, match="experiment"):
         default_config(experiment__name="explore")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tumoropt.adjoint import ReducedGradient
 from tumoropt.cost import CostConfigError, CostWeights, eval_cost
@@ -153,6 +155,37 @@ def test_prox_soft_threshold_composite():
     out = prox_project(w, g, 1.0, _toy_weights(gamma4=0.1))
     # lower bound zero: the composite equals a clamp of w2 - step*gamma4
     assert np.allclose(out.w2, np.maximum(w.w2 - 0.1, 0.0))
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("component, gradient, weight",
+                         [("w2", "h2", "gamma4"), ("w3", "h3", "gamma5")])
+@settings(max_examples=150, deadline=None)
+@given(w=_finite, g=_finite, step=st.floats(1e-3, 1e3), gamma=st.floats(0.0, 1e3),
+       lo=st.floats(-10.0, 10.0), width=st.floats(0.0, 20.0))
+def test_prox_matches_brute_force_minimisation(component, gradient, weight,
+                                               w, g, step, gamma, lo, width):
+    # the dosage prox minimises (x - v)^2 / (2 step) + gamma |x| over [lo, hi]
+    hi = lo + width
+    bounds = ControlBounds(**{f"{component}_lo": lo, f"{component}_hi": hi})
+    ctrl = _toy_controls(N=1, bounds=bounds)
+    grad = Direction(np.zeros_like(ctrl.w1), np.zeros(1), np.zeros(1))
+    getattr(ctrl, component)[:] = w
+    getattr(grad, gradient)[:] = g
+    out = getattr(prox_project(ctrl, grad, step, _toy_weights(**{weight: gamma})),
+                  component)[0]
+
+    v = w - step * g
+
+    def objective(x):
+        return (x - v) ** 2 / (2 * step) + gamma * np.abs(x)
+
+    xs = np.concatenate([np.linspace(lo, hi, 4001), [0.0] if lo <= 0.0 <= hi else []])
+    best = objective(xs).min()
+    assert lo <= out <= hi
+    assert objective(out) <= best + 1e-12 * max(1.0, abs(best), v * v / step)
 
 
 def test_hand_built_kkt_point_is_prox_fixed_point():

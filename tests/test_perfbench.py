@@ -25,3 +25,24 @@ def test_tracer_install_and_uninstall():
     finally:
         tracer.uninstall()
     assert all(mod.splu is orig for mod, orig in zip(users, before))
+
+
+def test_traced_forward_factors_ch_once_per_step():
+    # a factorization that bypasses the traced ``splu`` name would be missed
+    from tumoropt.config import default_config
+
+    tracing = _load_tracing()
+    cfg = default_config(grid__nx=6, grid__ny=6, time__steps=5)
+    sysd = cfg.build_system()
+    phi0, sig0 = cfg.initial_fields(sysd)
+    controls = cfg.initial_controls(sysd)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install("tumoropt")
+        tracer.run("unit-1", sysd.solve_state, controls, phi0, sig0,
+                   cfg["time.T"], cfg["time.steps"])
+    finally:
+        tracer.uninstall()
+    m = tracing.layer_metrics(tracer.spans, "unit-1", sysd.grid.n_nodes)
+    assert m["splu.ch.count"] == cfg["time.steps"]
+    assert m["state.newton_per_step"] == 1.0

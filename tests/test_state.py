@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tumoropt.state as state_mod
 from tumoropt.config import default_config, load_config
 from tumoropt.state import ControlBounds, PreconditionError, TimestepError
 
@@ -82,6 +83,85 @@ def test_ch_step_newton_divergence_reported():
     with pytest.raises(TimestepError):
         sysd.step_cahn_hilliard(phi0, coefficients_at(sysd, phi0),
                                 np.ones(grid.n_nodes), 0.0, 50.0)
+
+
+def _count_ch_factorizations(monkeypatch, n_nodes):
+    """Wrap the solver's ``splu`` and count factorizations of the CH block."""
+    calls = []
+    orig = state_mod.splu
+
+    def counting(A, **kwargs):
+        if A.shape[0] == 2 * n_nodes:
+            calls.append(A.shape[0])
+        return orig(A, **kwargs)
+
+    monkeypatch.setattr(state_mod, "splu", counting)
+    return calls
+
+
+def test_ch_jacobian_factored_once_per_step(monkeypatch):
+    cfg = default_config(grid__nx=8, grid__ny=8, time__steps=8)
+    sysd = cfg.build_system()
+    phi0, sig0 = cfg.initial_fields(sysd)
+    calls = _count_ch_factorizations(monkeypatch, sysd.grid.n_nodes)
+    sysd.solve_state(cfg.initial_controls(sysd), phi0, sig0,
+                     cfg["time.T"], cfg["time.steps"])
+    assert len(calls) == cfg["time.steps"]
+
+
+def test_ch_step_stiff_refactors_and_converges(monkeypatch):
+    # a steep well makes a reused Jacobian contract too little; the step
+    # refactors at the current iterate and still meets the Newton tolerance
+    sysd = make_system(4, 4, well_scale=50.0)
+    grid, quad, nl = sysd.grid, sysd.quad, sysd.nl
+    phi0 = tumour_ic(grid, width=0.08)
+    sigma = np.ones(grid.n_nodes)
+    tau = 5.0
+    coef = coefficients_at(sysd, phi0)
+    calls = _count_ch_factorizations(monkeypatch, grid.n_nodes)
+    phi, mu = sysd.step_cahn_hilliard(phi0, coef, sigma, 0.0, tau)
+    assert len(calls) > 1
+
+    FU = quad.pair(coef.growth(quad.P @ sigma, 0.0))
+    lagged = (quad.pair(nl.psi2_prime(coef.phi)) + quad.pair(coef.w_phi)
+              - sysd.params.chi * (sysd.M @ sigma))
+
+    def residual(phi, mu):
+        return np.concatenate([
+            sysd.M @ (phi - phi0) / tau + sysd.K @ mu - FU,
+            sysd.M @ mu - sysd.K @ phi - quad.pair(nl.psi1_prime(quad.P @ phi)) - lagged])
+
+    mu0 = sysd._mass_lu.solve(sysd.K @ phi0 + quad.pair(nl.psi1_prime(quad.P @ phi0))
+                              + lagged)
+    scale = max(np.linalg.norm(residual(phi0, mu0)), np.linalg.norm(FU), 1.0)
+    assert np.linalg.norm(residual(phi, mu)) <= sysd.newton_tol * scale
+
+
+def test_newton_max_iter_bounds_corrections(monkeypatch):
+    # a step converging in exactly newton_max_iter corrections is accepted
+    sysd = make_system(4, 4, well_scale=50.0)
+    grid = sysd.grid
+    phi0 = tumour_ic(grid, width=0.08)
+    args = (phi0, coefficients_at(sysd, phi0), np.ones(grid.n_nodes), 0.0, 5.0)
+    solves = []
+    orig = state_mod.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(1)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(state_mod, "splu", lambda A, **kw: CountingLU(orig(A, **kw)))
+    phi_ref, _ = sysd.step_cahn_hilliard(*args)
+    sysd.newton_max_iter = len(solves)
+    phi, _ = sysd.step_cahn_hilliard(*args)
+    assert np.array_equal(phi, phi_ref)
+    sysd.newton_max_iter -= 1
+    with pytest.raises(TimestepError, match="corrections"):
+        sysd.step_cahn_hilliard(*args)
 
 
 # -- nutrient step ------------------------------------------------------------------
