@@ -17,8 +17,7 @@ from .grid import Grid, build_grid
 from .linearized import FrechetReport, LinearisedSnapshot, frechet_check, solve_linearised
 from .optimize import (ControlProblem, OptimizationReport, OptimizeOptions,
                        optimize, projection_formula_check, prox_project,
-                       recover_subgradients, sparsity_report,
-                       stationarity_residual)
+                       sparsity_report, stationarity_residual)
 from .state import (ControlBounds, ControlSpace, ControlTriple, Direction,
                     StateSnapshot, StateTrajectory, System)
 
@@ -34,7 +33,6 @@ __all__ = [
     "assemble_elasticity", "assemble_mass", "assemble_stiffness",
     "build_grid", "default_config", "dumps", "eval_cost", "frechet_check",
     "load_config", "optimize", "projection_formula_check", "prox_project",
-    "quadrature", "recover_subgradients", "reduced_gradient",
-    "solve_adjoint", "solve_linearised", "sparsity_report",
-    "stationarity_residual",
+    "quadrature", "reduced_gradient", "solve_adjoint", "solve_linearised",
+    "sparsity_report", "stationarity_residual",
 ]

@@ -3,22 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, load_config, validate_config
 from .experiments import run_experiment
-
-
-def _apply_thread_limit():
-    n = os.environ.get("SOLVER_THREADS")
-    if not n:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=int(n))
-    except (ImportError, ValueError):
-        pass  # without threadpoolctl the variable has no effect
 
 
 def main(argv=None) -> int:
@@ -35,7 +23,6 @@ def main(argv=None) -> int:
                      help="override experiment.seed")
     args = parser.parse_args(argv)
 
-    _apply_thread_limit()
     try:
         cfg = load_config(args.config)
         if args.experiment is not None:

@@ -71,7 +71,6 @@ SCHEMA: dict[str, tuple] = {
     "model.bar_strain": (_floats, (0.0, 0.0, 0.0)),
     "model.misfit_strain": (_floats, (0.05, 0.05, 0.0)),
     "model.g_load": (_floats, (0.0, 0.0)),
-    "model.psi": (str, "quartic"),
     "model.well_scale": (_float, 1.0),
     "model.response_g": (str, "inverse_sqrt"),
     "model.weight_n": (str, "ramp"),
@@ -168,8 +167,7 @@ class RunConfig:
             supply_bound=self.build_bounds().sup_w1())
 
     def build_nonlinearities(self) -> Nonlinearities:
-        return Nonlinearities(psi=self["model.psi"],
-                              well_scale=self["model.well_scale"],
+        return Nonlinearities(well_scale=self["model.well_scale"],
                               g=self["model.response_g"],
                               weight_n=self["model.weight_n"],
                               region=tuple(self["model.weight_region"]))
@@ -220,8 +218,8 @@ class RunConfig:
         grid = system.grid
         return CostWeights(
             **_scalar_weights(self),
-            phi_Q=ingest_target(self["cost.phi_Q"], grid, self),
-            phi_Omega=ingest_target(self["cost.phi_Omega"], grid, self))
+            phi_Q=generate_field(self["cost.phi_Q"], grid, self),
+            phi_Omega=generate_field(self["cost.phi_Omega"], grid, self))
 
 
 def _scalar_weights(cfg: RunConfig) -> dict[str, float]:
@@ -274,6 +272,8 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("solver.newton_tol", "solver.lin_rtol"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    if cfg["solver.newton_max_iter"] < 1:
+        raise ConfigError("solver.newton_max_iter must be >= 1")
     if not cfg["experiment.gamma4_values"]:
         raise ConfigError("experiment.gamma4_values must list at least one "
                           "cost.gamma4 weight (A7)")
@@ -290,6 +290,14 @@ def validate_config(cfg: RunConfig) -> None:
         CostWeights(**_scalar_weights(cfg))
     except CostConfigError as exc:
         raise ConfigError(f"invalid cost weights: {exc}") from exc
+    if cfg["experiment.name"] == "gamma_sweep":
+        # fail before the first optimisation if any swept weight set breaks A7
+        for g4 in cfg["experiment.gamma4_values"]:
+            try:
+                CostWeights(**{**_scalar_weights(cfg), "gamma4": g4})
+            except CostConfigError as exc:
+                raise ConfigError(f"invalid cost weights at experiment.gamma4_values "
+                                  f"entry {g4!r}: {exc}") from exc
 
 
 def dumps(cfg: RunConfig) -> str:
@@ -306,7 +314,7 @@ def default_config(**overrides) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# field generators / target ingestion
+# field generators
 # ---------------------------------------------------------------------------
 
 def generate_field(spec: str, grid: Grid, cfg: RunConfig | None = None,
@@ -346,16 +354,3 @@ def generate_field(spec: str, grid: Grid, cfg: RunConfig | None = None,
         return traj.final().phi.copy()
     raise ConfigError(f"unknown field generator {spec!r}")
 
-
-def ingest_target(spec: str, grid: Grid, cfg: RunConfig | None = None) -> np.ndarray:
-    """Target field(s) for the tracking terms; a single field is broadcast
-    in time by the cost evaluation."""
-    return generate_field(spec, grid, cfg, allow_forward=True)
-
-
-def save_target(path, grid: Grid, field: np.ndarray) -> None:
-    io.write_fld(path, {
-        "grid_dims": np.array([grid.nx, grid.ny], dtype=float),
-        "lengths": np.array([grid.Lx, grid.Ly]),
-        "field": np.asarray(field, dtype=float),
-    })

@@ -19,46 +19,6 @@ class ModelConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# double-well potential, convex/concave split
-# ---------------------------------------------------------------------------
-
-def psi_value(r, well_scale: float = 1.0):
-    r = np.asarray(r, dtype=float)
-    return well_scale * 0.25 * (r * r - 1.0) ** 2
-
-
-def psi_prime(r, well_scale: float = 1.0):
-    r = np.asarray(r, dtype=float)
-    return well_scale * (r * r - 1.0) * r
-
-
-def psi_second(r, well_scale: float = 1.0):
-    r = np.asarray(r, dtype=float)
-    return well_scale * (3.0 * r * r - 1.0)
-
-
-# convex part 1/4 (r^4 + 1), concave part -r^2/2
-def psi1_prime(r, well_scale: float = 1.0):
-    r = np.asarray(r, dtype=float)
-    return well_scale * r ** 3
-
-
-def psi1_second(r, well_scale: float = 1.0):
-    r = np.asarray(r, dtype=float)
-    return well_scale * 3.0 * r * r
-
-
-def psi2_prime(r, well_scale: float = 1.0):
-    r = np.asarray(r, dtype=float)
-    return -well_scale * r
-
-
-def psi2_second(r, well_scale: float = 1.0):
-    r = np.asarray(r, dtype=float)
-    return np.full_like(r, -well_scale)
-
-
-# ---------------------------------------------------------------------------
 # smoothed ramps for f, h, k (C^2 quintic smoothstep of (r+1)/2)
 # ---------------------------------------------------------------------------
 
@@ -160,52 +120,56 @@ class ModelParams:
         return max(self.sigma_c, self.supply_bound)
 
 
+# blend half-width of the stress-weight ramp, in ramp units ((1-phi)/2)
+RAMP_BLEND = 0.05
+
+
 @dataclass
 class Nonlinearities:
-    """Selector bundle for the potential, ramps, stress response and weight n."""
-    psi: str = "quartic"
+    """The quartic double well scaled by ``well_scale``, the smoothstep
+    ramps f, h, k, and selectors for the stress response and weight n."""
     well_scale: float = 1.0
-    fhk: str = "smoothstep"
     g: str = "inverse_sqrt"
     weight_n: str = "ramp"
     region: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
-    ramp_blend: float = 0.05       # blend half-width in ramp units ((1-phi)/2)
 
     def __post_init__(self):
-        if self.psi != "quartic":
-            raise ModelConfigError(f"unknown potential selector {self.psi!r}")
         if self.well_scale <= 0:
             raise ModelConfigError("well_scale must be positive")
-        if self.fhk != "smoothstep":
-            raise ModelConfigError(f"unknown ramp selector {self.fhk!r}")
         if self.g not in ("inverse_sqrt", "constant"):
             raise ModelConfigError(f"unknown stress-response selector {self.g!r}")
         if self.weight_n not in ("ramp", "indicator", "constant"):
             raise ModelConfigError(f"unknown weight selector {self.weight_n!r}")
-        if not 0 < self.ramp_blend < 0.5:
-            raise ModelConfigError("ramp_blend must lie in (0, 1/2)")
 
-    # potential -------------------------------------------------------------
+    # potential psi(r) = (r^2 - 1)^2 / 4, split into the convex part
+    # psi1 = (r^4 + 1) / 4 and the concave part psi2 = -r^2 / 2 ----------------
     def psi_value(self, r):
-        return psi_value(r, self.well_scale)
+        r = np.asarray(r, dtype=float)
+        return self.well_scale * 0.25 * (r * r - 1.0) ** 2
 
     def psi_prime(self, r):
-        return psi_prime(r, self.well_scale)
+        r = np.asarray(r, dtype=float)
+        return self.well_scale * (r * r - 1.0) * r
 
     def psi_second(self, r):
-        return psi_second(r, self.well_scale)
+        r = np.asarray(r, dtype=float)
+        return self.well_scale * (3.0 * r * r - 1.0)
 
     def psi1_prime(self, r):
-        return psi1_prime(r, self.well_scale)
+        r = np.asarray(r, dtype=float)
+        return self.well_scale * r ** 3
 
     def psi1_second(self, r):
-        return psi1_second(r, self.well_scale)
+        r = np.asarray(r, dtype=float)
+        return self.well_scale * 3.0 * r * r
 
     def psi2_prime(self, r):
-        return psi2_prime(r, self.well_scale)
+        r = np.asarray(r, dtype=float)
+        return -self.well_scale * r
 
     def psi2_second(self, r):
-        return psi2_second(r, self.well_scale)
+        r = np.asarray(r, dtype=float)
+        return np.full_like(r, -self.well_scale)
 
     # ramps -----------------------------------------------------------------
     f = staticmethod(smoothstep)
@@ -236,13 +200,13 @@ class Nonlinearities:
             inside = ((xy[..., 0] >= x0) & (xy[..., 0] <= x1)
                       & (xy[..., 1] >= y0) & (xy[..., 1] <= y1))
             return inside.astype(float) * np.ones_like(phi)
-        return _ramp(0.5 * (1.0 - phi), self.ramp_blend)
+        return _ramp(0.5 * (1.0 - phi), RAMP_BLEND)
 
     def n_prime(self, xy: np.ndarray, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
         if self.weight_n != "ramp":
             return np.zeros_like(phi)
-        return -0.5 * _ramp_prime(0.5 * (1.0 - phi), self.ramp_blend)
+        return -0.5 * _ramp_prime(0.5 * (1.0 - phi), RAMP_BLEND)
 
 
 def _ramp(t, delta):

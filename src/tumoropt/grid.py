@@ -54,11 +54,6 @@ class Grid:
     def n_boundary_nodes(self) -> int:
         return self.boundary_nodes.size
 
-    def interior_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes] = False
-        return mask
-
 
 def _parse_sides(spec) -> tuple[str, ...]:
     if isinstance(spec, str):

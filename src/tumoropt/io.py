@@ -69,19 +69,6 @@ def snapshot_arrays(grid: Grid, snap) -> dict[str, np.ndarray]:
     }
 
 
-def adjoint_arrays(grid: Grid, snap) -> dict[str, np.ndarray]:
-    """Adjoint snapshots share the state container layout."""
-    return {
-        "grid_dims": np.array([grid.nx, grid.ny], dtype=float),
-        "lengths": np.array([grid.Lx, grid.Ly]),
-        "time": np.array(snap.t),
-        "p": snap.p,
-        "q": snap.q,
-        "r": snap.r,
-        "s": snap.s.reshape(-1, 2),
-    }
-
-
 def check_grid_shape(grid: Grid, arrays: dict[str, np.ndarray], path="") -> None:
     dims = arrays.get("grid_dims")
     if dims is None or tuple(dims.astype(int)) != (grid.nx, grid.ny):

@@ -10,7 +10,7 @@ first-order conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,20 @@ from .state import (ControlSpace, ControlTriple, Direction,
                     PreconditionError, SolverError, StateTrajectory, System)
 
 
+# the finite-difference gradient gate: random directions, central-difference
+# half-width and the relative error it tolerates
+GATE_DIRECTIONS = 3
+GATE_EPS = 1e-4
+GATE_RTOL = 1e-6
+# a dosage at most ZERO_TOL in magnitude counts as zero; a dual quantity
+# within BOUNDARY_SLACK (relative) of its threshold is on the boundary of
+# the zero-set characterisation
+ZERO_TOL = 1e-10
+BOUNDARY_SLACK = 1e-8
+
+
 class GateError(SolverError):
     """The adjoint gradient failed its finite-difference gate."""
-
-
-class SubgradientError(ValueError):
-    pass
 
 
 def _soft_threshold(z: np.ndarray, a: float) -> np.ndarray:
@@ -82,8 +90,8 @@ class ControlProblem:
         return self.system.solve_state(w, self.phi0, self.sigma0, self.T,
                                        self.n_steps)
 
-    def cost(self, w: ControlTriple, traj: StateTrajectory | None = None):
-        traj = traj if traj is not None else self.solve(w)
+    def cost(self, w: ControlTriple):
+        traj = self.solve(w)
         return eval_cost(self.system, traj, w, self.weights), traj
 
     def gradient(self, w: ControlTriple,
@@ -100,27 +108,39 @@ class ControlProblem:
         return j1
 
 
-def gradient_fd_gate(problem: ControlProblem, w: ControlTriple,
-                     grad: ReducedGradient, n_directions: int = 3,
-                     eps: float = 1e-4, rtol: float = 1e-6,
-                     rng: np.random.Generator | None = None) -> list[float]:
-    """Compare the adjoint gradient against central differences of the
-    smooth cost; raises GateError beyond ``rtol``."""
-    rng = rng or np.random.default_rng(0)
+def central_difference_checks(problem: ControlProblem, w: ControlTriple,
+                              grads: list[ReducedGradient], n_directions: int,
+                              eps: float, rng: np.random.Generator):
+    """Central differences of the smooth cost at ``w`` along ``n_directions``
+    random directions drawn from ``rng``, against each gradient of ``grads``.
+
+    Returns one ``(fd, [(dj, relative_error) per gradient])`` per direction.
+    """
     space = problem.space
-    errors = []
+    out = []
     for _ in range(n_directions):
         h = space.random_direction(rng)
         fd = (problem.smooth_cost(w.axpy(eps, h))
               - problem.smooth_cost(w.axpy(-eps, h))) / (2 * eps)
-        dj = space.inner(grad.direction(), h)
-        scale = max(abs(fd), abs(dj), 1e-14)
-        errors.append(abs(fd - dj) / scale)
+        checks = []
+        for grad in grads:
+            dj = space.inner(grad.direction(), h)
+            checks.append((dj, abs(fd - dj) / max(abs(fd), abs(dj), 1e-14)))
+        out.append((fd, checks))
+    return out
+
+
+def gradient_fd_gate(problem: ControlProblem, w: ControlTriple,
+                     grad: ReducedGradient, rng: np.random.Generator) -> list[float]:
+    """Compare the adjoint gradient against central differences of the
+    smooth cost; raises GateError beyond ``GATE_RTOL``."""
+    errors = [checks[0][1] for _, checks in central_difference_checks(
+        problem, w, [grad], GATE_DIRECTIONS, GATE_EPS, rng)]
     worst = max(errors)
-    if worst > rtol:
+    if worst > GATE_RTOL:
         raise GateError(
             f"adjoint gradient failed the finite-difference gate: "
-            f"relative error {worst:.3e} > {rtol:.1e}")
+            f"relative error {worst:.3e} > {GATE_RTOL:.1e}")
     return errors
 
 
@@ -151,15 +171,8 @@ class OptimizationReport:
     stagnated: bool
     message: str
     residual: float
-    gate_errors: list[float] = field(default_factory=list)
     lambda2: np.ndarray | None = None
     lambda3: np.ndarray | None = None
-    zero_intervals_w2: list[tuple[int, int]] = field(default_factory=list)
-    zero_intervals_w3: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def costs(self) -> np.ndarray:
-        return np.array([rec.J for rec in self.history])
 
 
 @dataclass
@@ -170,11 +183,7 @@ class OptimizeOptions:
     armijo: float = 1e-4
     max_halvings: int = 40
     gate: bool = True
-    gate_directions: int = 3
-    gate_rtol: float = 1e-6
-    gate_eps: float = 1e-4
     seed: int = 0
-    zero_tol: float = 1e-10
 
 
 def _default_step(weights: CostWeights) -> float:
@@ -196,10 +205,8 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
     w = w0.copy()
     (J, J1, J2), traj = problem.cost(w)
     grad = problem.gradient(w, traj)
-    gate_errors = []
     if opts.gate:
-        gate_errors = gradient_fd_gate(problem, w, grad, opts.gate_directions,
-                                       opts.gate_eps, opts.gate_rtol, rng)
+        gradient_fd_gate(problem, w, grad, rng)
 
     step0 = opts.step0 if opts.step0 is not None else _default_step(weights)
     step_guess = step0
@@ -260,16 +267,11 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
     report = OptimizationReport(history=history, controls=w, trajectory=traj,
                                 gradient=grad,
                                 converged=converged, stagnated=stagnated,
-                                message=message, residual=residual,
-                                gate_errors=gate_errors)
+                                message=message, residual=residual)
     if weights.gamma4 > 0:
-        report.lambda2 = _subgradient(w.w2, grad.kp_integral, weights.gamma4,
-                                      opts.zero_tol)
-        report.zero_intervals_w2 = zero_intervals(w.w2, opts.zero_tol)
+        report.lambda2 = _subgradient(w.w2, grad.kp_integral, weights.gamma4)
     if weights.gamma5 > 0:
-        report.lambda3 = _subgradient(w.w3, -grad.hr_integral, weights.gamma5,
-                                      opts.zero_tol)
-        report.zero_intervals_w3 = zero_intervals(w.w3, opts.zero_tol)
+        report.lambda3 = _subgradient(w.w3, -grad.hr_integral, weights.gamma5)
     return report
 
 
@@ -277,31 +279,21 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
 # optimality diagnostics
 # ---------------------------------------------------------------------------
 
-def _subgradient(vals: np.ndarray, dual: np.ndarray, gamma: float,
-                 zero_tol: float) -> np.ndarray:
-    return np.where(vals > zero_tol, 1.0,
-                    np.where(vals < -zero_tol, -1.0,
+def _subgradient(vals: np.ndarray, dual: np.ndarray, gamma: float) -> np.ndarray:
+    """L1-subgradient selection certifying stationarity of a dosage.
+
+    Where the dosage is positive the selection is 1 (negative: -1); on its
+    zero set it is the clamped dual quantity, which lies in [-1, 1] at
+    stationary points.
+    """
+    return np.where(vals > ZERO_TOL, 1.0,
+                    np.where(vals < -ZERO_TOL, -1.0,
                              np.clip(dual / gamma, -1.0, 1.0)))
 
 
-def recover_subgradients(w: ControlTriple, grad: ReducedGradient,
-                         weights: CostWeights, zero_tol: float = 1e-10):
-    """L1-subgradient selections certifying stationarity of the dosages.
-
-    Where a dosage is positive the selection is 1 (negative: -1); on its zero
-    set the selection is the clamped dual quantity, which lies in [-1, 1] at
-    stationary points.
-    """
-    if weights.gamma4 <= 0 or weights.gamma5 <= 0:
-        raise SubgradientError(
-            "subgradients are undefined without both L1 weights")
-    return (_subgradient(w.w2, grad.kp_integral, weights.gamma4, zero_tol),
-            _subgradient(w.w3, -grad.hr_integral, weights.gamma5, zero_tol))
-
-
-def zero_intervals(values: np.ndarray, zero_tol: float = 1e-10) -> list[tuple[int, int]]:
-    """Maximal runs of (inclusive) step indices where |value| <= zero_tol."""
-    zero = np.abs(values) <= zero_tol
+def zero_intervals(values: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of (inclusive) step indices where |value| <= ZERO_TOL."""
+    zero = np.abs(values) <= ZERO_TOL
     intervals = []
     start = None
     for j, z in enumerate(zero):
@@ -343,8 +335,8 @@ class SparsityReport:
         return float(np.mean(zero[keep] == cond[keep]))
 
 
-def sparsity_report(grad: ReducedGradient, w: ControlTriple, weights: CostWeights,
-                    zero_tol: float = 1e-10, slack: float = 1e-8) -> SparsityReport:
+def sparsity_report(grad: ReducedGradient, w: ControlTriple,
+                    weights: CostWeights) -> SparsityReport:
     """Evaluate the zero-set characterisations of the two dosages at ``w``,
     whose reduced gradient is ``grad``."""
     kp, hr = grad.kp_integral, grad.hr_integral
@@ -354,20 +346,19 @@ def sparsity_report(grad: ReducedGradient, w: ControlTriple, weights: CostWeight
         w2=w.w2.copy(), kp_integral=kp,
         w3=w.w3.copy(), hr_integral=hr,
         gamma4=weights.gamma4, gamma5=weights.gamma5,
-        w2_zero=np.abs(w.w2) <= zero_tol,
+        w2_zero=np.abs(w.w2) <= ZERO_TOL,
         w2_condition=kp <= weights.gamma4,
-        w2_boundary=np.abs(kp - weights.gamma4) <= slack * scale2,
-        w3_zero=np.abs(w.w3) <= zero_tol,
+        w2_boundary=np.abs(kp - weights.gamma4) <= BOUNDARY_SLACK * scale2,
+        w3_zero=np.abs(w.w3) <= ZERO_TOL,
         w3_condition=hr >= -weights.gamma5,
-        w3_boundary=np.abs(hr + weights.gamma5) <= slack * scale3,
-        zero_intervals_w2=zero_intervals(w.w2, zero_tol),
-        zero_intervals_w3=zero_intervals(w.w3, zero_tol),
+        w3_boundary=np.abs(hr + weights.gamma5) <= BOUNDARY_SLACK * scale3,
+        zero_intervals_w2=zero_intervals(w.w2),
+        zero_intervals_w3=zero_intervals(w.w3),
     )
 
 
 def projection_formula_check(grad: ReducedGradient, w: ControlTriple,
-                             weights: CostWeights,
-                             zero_tol: float = 1e-10) -> dict[str, float]:
+                             weights: CostWeights) -> dict[str, float]:
     """Pointwise deviation of the controls ``w``, whose reduced gradient is
     ``grad``, from their projection formulas.
 
@@ -381,12 +372,12 @@ def projection_formula_check(grad: ReducedGradient, w: ControlTriple,
         formula = np.clip(w.w1 - grad.g1 / weights.gamma1, b.w1_lo, b.w1_hi)
         out["w1"] = float(np.abs(w.w1 - formula).max())
     if weights.gamma2 > 0 and weights.gamma4 > 0:
-        lam2 = _subgradient(w.w2, grad.kp_integral, weights.gamma4, zero_tol)
+        lam2 = _subgradient(w.w2, grad.kp_integral, weights.gamma4)
         formula = np.clip((grad.kp_integral - weights.gamma4 * lam2) / weights.gamma2,
                           b.w2_lo, b.w2_hi)
         out["w2"] = float(np.abs(w.w2 - formula).max())
     if weights.gamma3 > 0 and weights.gamma5 > 0:
-        lam3 = _subgradient(w.w3, -grad.hr_integral, weights.gamma5, zero_tol)
+        lam3 = _subgradient(w.w3, -grad.hr_integral, weights.gamma5)
         formula = np.clip(-(weights.gamma5 * lam3 + grad.hr_integral) / weights.gamma3,
                           b.w3_lo, b.w3_hi)
         out["w3"] = float(np.abs(w.w3 - formula).max())

@@ -228,10 +228,6 @@ class StateTrajectory:
         self._segment: dict[int, StateSnapshot] = {}
         self._index_lines: list[str] = []
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.tau * np.arange(self.n_steps + 1)
-
     def __len__(self) -> int:
         return len(self._mem)
 

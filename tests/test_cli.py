@@ -1,9 +1,16 @@
+import dataclasses
+import importlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 from tumoropt.cli import main
 from tumoropt.config import default_config, dumps, load_config
 from tumoropt.experiments import run_experiment
+
+# the package namespace binds ``optimize`` to the function
+optmod = importlib.import_module("tumoropt.optimize")
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -119,3 +126,43 @@ def test_optimize_experiment_artifacts(tmp_path):
     rows = (out / "iterates.csv").read_text().splitlines()
     costs = [float(r.split(",")[1]) for r in rows[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
+
+
+TINY_SWEEP = dict(grid__nx=4, grid__ny=4, time__steps=3, time__T=0.25,
+                  experiment__name="gamma_sweep", cost__gamma4=0.01,
+                  cost__gamma5=0.005, experiment__gamma4_values=(0.01, 0.1),
+                  opt__max_iterations=5)
+
+
+def test_gamma_sweep_gates_once(tmp_path, monkeypatch):
+    calls = []
+    real = optmod.gradient_fd_gate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optmod, "gradient_fd_gate", counting)
+    out = tmp_path / "out"
+    run_experiment(default_config(**TINY_SWEEP), out, seed=0)
+    assert not (out / "error.json").exists()
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+    assert len(calls) == 1
+
+
+def test_gamma_sweep_gate_errors_independent_of_gamma4():
+    # gamma4 enters only J2, so the gate sees the same smooth cost and gradient
+    cfg = default_config(**TINY_SWEEP)
+    system = cfg.build_system()
+    phi0, sigma0 = cfg.initial_fields(system)
+    controls = cfg.initial_controls(system)
+    base = cfg.build_weights(system)
+    errors = []
+    for g4 in cfg["experiment.gamma4_values"]:
+        problem = optmod.ControlProblem(system, phi0, sigma0, cfg["time.T"],
+                                        cfg["time.steps"],
+                                        dataclasses.replace(base, gamma4=g4))
+        errors.append(optmod.gradient_fd_gate(problem, controls,
+                                              problem.gradient(controls),
+                                              np.random.default_rng(0)))
+    assert errors[0] == errors[1]

@@ -3,11 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tumoropt import io
 from tumoropt.config import (ConfigError, default_config, dumps, generate_field,
-                             ingest_target, load_config, parse_config,
-                             save_target)
+                             load_config, parse_config)
 from tumoropt.grid import build_grid
 
 
@@ -32,25 +33,6 @@ def test_fld_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(io.FieldFormatError):
         io.read_fld(path)
-
-
-def test_adjoint_snapshot_export(tmp_path, rng):
-    from tumoropt.adjoint import AdjointSnapshot
-
-    g = build_grid(3, 3, 1.0, 1.0, "left")
-    snap = AdjointSnapshot(p=rng.standard_normal(g.n_nodes),
-                           q=rng.standard_normal(g.n_nodes),
-                           r=rng.standard_normal(g.n_nodes),
-                           s=rng.standard_normal(2 * g.n_nodes), t=0.5)
-    path = tmp_path / "adj.fld"
-    io.write_fld(path, io.adjoint_arrays(g, snap))
-    back = io.read_fld(path)
-    assert np.array_equal(back["p"], snap.p)
-    assert np.array_equal(back["s"].ravel(), snap.s)
-    io.write_vtk(tmp_path / "adj.vtk", g,
-                 {"p": snap.p, "q": snap.q, "r": snap.r},
-                 {"s": snap.s.reshape(-1, 2)})
-    assert (tmp_path / "adj.vtk").exists()
 
 
 def test_vtk_writer_structure(tmp_path):
@@ -85,6 +67,24 @@ def test_config_file_round_trip(tmp_path):
     assert loaded.values == cfg.values
 
 
+_any_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step0=_any_finite, g_load=st.tuples(_any_finite, _any_finite))
+def test_finite_floats_survive_dumps_parse_bitwise(step0, g_load):
+    cfg = default_config()
+    cfg.values["opt.step0"] = step0
+    cfg.values["model.g_load"] = g_load
+    again = parse_config(dumps(cfg))
+    for got, want in zip((again["opt.step0"], *again["model.g_load"]),
+                         (step0, *g_load)):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_unknown_key_has_line_number():
     with pytest.raises(ConfigError, match=":3"):
         parse_config("# c\ngrid.nx = 4\nnope.key = 2\n")
@@ -102,7 +102,8 @@ def test_bad_value_reported():
 
 @pytest.mark.parametrize("line", ["cost.gamma4 = nan", "model.kappa = nan",
                                   "time.T = inf", "opt.tol = nan",
-                                  "solver.newton_tol = -1"])
+                                  "solver.newton_tol = -1",
+                                  "solver.newton_max_iter = 0"])
 def test_non_finite_or_non_positive_value_rejected(line):
     key, _, value = line.partition(" = ")
     with pytest.raises(ConfigError, match=re.escape(key)) as exc:
@@ -133,6 +134,10 @@ def test_all_weights_zero_cited():
 def test_empty_gamma_sweep_rejected():
     with pytest.raises(ConfigError, match=r"experiment\.gamma4_values.*A7"):
         parse_config("experiment.name = gamma_sweep\nexperiment.gamma4_values =\n")
+    # a swept gamma4 > 0 needs gamma2 > 0 as well
+    with pytest.raises(ConfigError, match=r"experiment\.gamma4_values.*A7"):
+        parse_config("experiment.name = gamma_sweep\ncost.gamma2 = 0\n"
+                     "experiment.gamma4_values = 0, 0.1\n")
 
 
 def test_unknown_experiment_rejected():
@@ -158,12 +163,18 @@ def test_circle_generator_sign_structure():
     assert f[corner] < -0.9
 
 
+def _write_target(path, grid, field):
+    io.write_fld(path, {"grid_dims": np.array([grid.nx, grid.ny], dtype=float),
+                        "lengths": np.array([grid.Lx, grid.Ly]),
+                        "field": field})
+
+
 def test_file_target_round_trip(tmp_path, rng):
     g = build_grid(5, 4, 1.0, 1.0, "left")
     field = rng.standard_normal(g.n_nodes)
     p = tmp_path / "target.fld"
-    save_target(p, g, field)
-    back = ingest_target(f"file:{p}", g)
+    _write_target(p, g, field)
+    back = generate_field(f"file:{p}", g)
     assert np.array_equal(back, field)
 
 
@@ -171,9 +182,9 @@ def test_file_target_grid_mismatch(tmp_path, rng):
     g16 = build_grid(16, 16, 1.0, 1.0, "left")
     g32 = build_grid(32, 32, 1.0, 1.0, "left")
     p = tmp_path / "t16.fld"
-    save_target(p, g16, rng.standard_normal(g16.n_nodes))
+    _write_target(p, g16, rng.standard_normal(g16.n_nodes))
     with pytest.raises(io.FieldFormatError, match="mismatch"):
-        ingest_target(f"file:{p}", g32)
+        generate_field(f"file:{p}", g32)
 
 
 def test_forward_final_target_matches_forward_run():

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from tumoropt.adjoint import ReducedGradient
 from tumoropt.cost import CostConfigError, CostWeights, eval_cost
-from tumoropt.optimize import (ControlProblem, GateError, OptimizeOptions,
-                               SubgradientError, optimize,
+from tumoropt.optimize import (ZERO_TOL, ControlProblem, GateError,
+                               OptimizeOptions, optimize,
                                projection_formula_check, prox_project,
-                               recover_subgradients, sparsity_report,
-                               stationarity_residual, zero_intervals)
+                               sparsity_report, stationarity_residual,
+                               zero_intervals)
 from tumoropt.state import ControlBounds, ControlTriple, Direction
 
 from conftest import interior_controls, make_system, tumour_ic
@@ -238,7 +238,7 @@ def test_optimize_monotone_descent_and_admissibility():
     prob = _problem()
     w0 = interior_controls(prob.system, prob.n_steps)
     rep = optimize(prob, w0, OptimizeOptions(max_iterations=60, tol=1e-8))
-    costs = rep.costs
+    costs = np.array([r.J for r in rep.history])
     assert (np.diff(costs) <= 1e-13 * np.maximum(1.0, np.abs(costs[:-1]))).all()
     assert rep.controls.is_admissible()
     assert rep.converged
@@ -296,7 +296,7 @@ def _converged(prob, tol=1e-8, iters=200):
 def test_subgradient_cases():
     prob = _problem()
     rep = _converged(prob)
-    lam2, lam3 = recover_subgradients(rep.controls, rep.gradient, prob.weights)
+    lam2, lam3 = rep.lambda2, rep.lambda3
     assert (np.abs(lam2) <= 1.0).all() and (np.abs(lam3) <= 1.0).all()
     assert np.all(lam2[rep.controls.w2 > 1e-10] == 1.0)
     assert np.all(lam3[rep.controls.w3 > 1e-10] == 1.0)
@@ -307,16 +307,30 @@ def test_subgradient_requires_l1_weights():
                     weights=CostWeights(alpha_Omega=1.0, gamma1=0.1,
                                         gamma2=0.1, gamma3=0.1,
                                         phi_Q=np.zeros(1), phi_Omega=np.zeros(1)))
-    w = interior_controls(prob.system, prob.n_steps)
-    grad = prob.gradient(w)
-    with pytest.raises(SubgradientError):
-        recover_subgradients(w, grad, prob.weights)
+    w0 = interior_controls(prob.system, prob.n_steps)
+    rep = optimize(prob, w0, OptimizeOptions(max_iterations=1))
+    assert rep.lambda2 is None and rep.lambda3 is None
 
 
 def test_zero_intervals_extraction():
     vals = np.array([0.0, 0.0, 0.3, 0.0, 0.2, 0.0, 0.0, 0.0])
     assert zero_intervals(vals) == [(0, 1), (3, 3), (5, 7)]
     assert zero_intervals(np.array([1.0, 2.0])) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.just(ZERO_TOL),
+                          st.just(-ZERO_TOL), st.just(2 * ZERO_TOL),
+                          st.floats(allow_nan=False)), max_size=40))
+def test_zero_intervals_matches_brute_force_scan(values):
+    vals = np.array(values, dtype=float)
+    zero = [abs(v) <= ZERO_TOL for v in values]
+    # a run starts at a zero whose left neighbour is not zero and ends at a
+    # zero whose right neighbour is not zero
+    starts = [j for j in range(len(zero)) if zero[j] and (j == 0 or not zero[j - 1])]
+    ends = [j for j in range(len(zero))
+            if zero[j] and (j == len(zero) - 1 or not zero[j + 1])]
+    assert zero_intervals(vals) == list(zip(starts, ends))
 
 
 def test_sparsity_report_agreement_at_convergence():
