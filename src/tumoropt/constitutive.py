@@ -157,7 +157,7 @@ class Nonlinearities:
 
     def psi1_prime(self, r):
         r = np.asarray(r, dtype=float)
-        return self.well_scale * r ** 3
+        return self.well_scale * (r * r * r)
 
     def psi1_second(self, r):
         r = np.asarray(r, dtype=float)
