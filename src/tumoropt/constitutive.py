@@ -141,8 +141,9 @@ class Nonlinearities:
         if self.weight_n not in ("ramp", "indicator", "constant"):
             raise ModelConfigError(f"unknown weight selector {self.weight_n!r}")
 
-    # potential psi(r) = (r^2 - 1)^2 / 4, split into the convex part
-    # psi1 = (r^4 + 1) / 4 and the concave part psi2 = -r^2 / 2 ----------------
+    # potential ---------------------------------------------------------------
+    # psi = (r^2 - 1)^2 / 4 = psi1 + psi2: convex psi1 = (r^4 + 1) / 4,
+    # concave psi2 = -r^2 / 2
     def psi_value(self, r):
         r = np.asarray(r, dtype=float)
         return self.well_scale * 0.25 * (r * r - 1.0) ** 2
