@@ -80,37 +80,40 @@ def run_forward(cfg, outdir: Path, seed: int):
                                   directory=outdir / "checkpoints")
     else:
         traj = system.solve_state(controls, phi0, sigma0, T, N)
-    rows = []
+    vtk_every = cfg["experiment.vtk_every"]
+    rows, snapshots = [], []
     for n in range(N + 1):
         s = traj.snapshot(n)
         rows.append((n, s.t, s.phi.min(), s.phi.max(), s.sigma.min(),
                      s.sigma.max(), system.integrate_nodal(s.phi),
                      system.free_energy(s.phi, s.u)))
-    write_csv(outdir / "forward.csv",
-              ["step", "t", "phi_min", "phi_max", "sigma_min", "sigma_max",
-               "mass", "energy"], rows)
-    artifacts = ["forward.csv"]
-
-    every = cfg["experiment.vtk_every"]
-    if every > 0:
-        for n in range(0, N + 1, every):
-            s = traj.snapshot(n)
+        if vtk_every > 0 and n % vtk_every == 0:
             name = f"state_{n:05d}.vtk"
             io.write_vtk(outdir / name, system.grid,
                          {"phi": s.phi, "mu": s.mu, "sigma": s.sigma},
                          {"displacement": s.u.reshape(-1, 2)})
-            artifacts.append(name)
+            snapshots.append(name)
+    write_csv(outdir / "forward.csv",
+              ["step", "t", "phi_min", "phi_max", "sigma_min", "sigma_max",
+               "mass", "energy"], rows)
+    artifacts = ["forward.csv", *snapshots]
     io.write_fld(outdir / "state_final.fld",
                  io.snapshot_arrays(system.grid, traj.final()))
     artifacts.append("state_final.fld")
 
     bound_rows = []
     ok = True
+    # trial 0 reads its sigma range off the rows, so a disk-checkpointed
+    # trajectory is walked once
+    ranges = [(r[4], r[5]) for r in rows]
     for trial in range(max(1, cfg["experiment.trials"])):
-        w = controls if trial == 0 else space.random_admissible(rng, controls.bounds)
-        tr = traj if trial == 0 else system.solve_state(w, phi0, sigma0, T, N)
-        smin = min(tr.snapshot(n).sigma.min() for n in range(N + 1))
-        smax = max(tr.snapshot(n).sigma.max() for n in range(N + 1))
+        if trial > 0:
+            w = space.random_admissible(rng, controls.bounds)
+            tr = system.solve_state(w, phi0, sigma0, T, N)
+            ranges = [(s.sigma.min(), s.sigma.max())
+                      for s in map(tr.snapshot, range(N + 1))]
+        smin = min(lo for lo, _ in ranges)
+        smax = max(hi for _, hi in ranges)
         in_bounds = smin >= -tol and smax <= cap + tol
         ok = ok and in_bounds
         bound_rows.append((trial, smin, smax, in_bounds))
@@ -203,34 +206,30 @@ def run_optimize(cfg, outdir: Path, seed: int):
                "message": report.message}
     if weights.gamma4 > 0 or weights.gamma5 > 0:
         sr = sparsity_report(grad, w, weights)
-        tau = T / N
-        rows = [(j, (j + 1) * tau, sr.w2[j], sr.kp_integral[j],
-                 bool(sr.w2_zero[j]), bool(sr.w2_condition[j]), bool(sr.w2_boundary[j]),
-                 sr.w3[j], sr.hr_integral[j],
-                 bool(sr.w3_zero[j]), bool(sr.w3_condition[j]), bool(sr.w3_boundary[j]))
-                for j in range(N)]
-        write_csv(outdir / "sparsity.csv",
-                  ["step", "t", "w2", "kp_integral", "w2_zero", "w2_condition",
-                   "w2_boundary", "w3", "hr_integral", "w3_zero", "w3_condition",
-                   "w3_boundary"], rows)
+        # each dosage's columns carry its unsigned dual integral
+        integrals = {"w2": ("kp_integral", grad.kp_integral),
+                     "w3": ("hr_integral", grad.hr_integral)}
+        columns = {"step": range(N), "t": [(j + 1) * (T / N) for j in range(N)]}
+        for name, rec in sr.items():
+            label, integral = integrals[name]
+            columns |= {name: rec.values, label: integral,
+                        f"{name}_zero": rec.zero,
+                        f"{name}_condition": rec.condition,
+                        f"{name}_boundary": rec.boundary}
+            summary[f"agreement_{name}"] = rec.agreement
+        write_csv(outdir / "sparsity.csv", list(columns), zip(*columns.values()))
         artifacts.append("sparsity.csv")
-        summary["agreement_w2"] = sr.agreement("w2")
-        summary["agreement_w3"] = sr.agreement("w3")
-        lam_rows = []
-        for j in range(N):
-            lam_rows.append((j,
-                             float(report.lambda2[j]) if report.lambda2 is not None else "",
-                             float(report.lambda3[j]) if report.lambda3 is not None else ""))
-        write_csv(outdir / "lambdas.csv", ["step", "lambda2", "lambda3"], lam_rows)
+        lambdas = [[""] * N if lam is None else lam
+                   for lam in (report.lambda2, report.lambda3)]
+        write_csv(outdir / "lambdas.csv", ["step", "lambda2", "lambda3"],
+                  zip(range(N), *lambdas))
         artifacts.append("lambdas.csv")
-    try:
-        dev = projection_formula_check(grad, w, weights)
+    dev = projection_formula_check(grad, w, weights)
+    if dev:
         write_csv(outdir / "projection.csv", ["control", "deviation"],
                   sorted(dev.items()))
         artifacts.append("projection.csv")
         summary["projection_deviation"] = dev["max"]
-    except ValueError:
-        pass
     return bool(report.converged), summary, artifacts
 
 
@@ -254,13 +253,12 @@ def run_gamma_sweep(cfg, outdir: Path, seed: int):
         w = report.controls
         l1 = tau * float(np.abs(w.w2).sum())
         l1_norms.append(l1)
-        sr = sparsity_report(report.gradient, w, weights)
-        agreements.append(sr.agreement("w2"))
+        agreement = sparsity_report(report.gradient, w, weights)["w2"].agreement
+        agreements.append(agreement)
         lam2 = report.lambda2
-        lam_in = bool(lam2 is not None and (np.abs(lam2) <= 1.0 + 1e-12).all())
-        lam_ok = lam_ok and lam_in
+        lam_ok = lam_ok and lam2 is not None and bool((np.abs(lam2) <= 1.0 + 1e-12).all())
         rows.append((g4, l1, report.residual, len(report.history),
-                     report.converged, sr.agreement("w2"),
+                     report.converged, agreement,
                      float(lam2.min()) if lam2 is not None else "",
                      float(lam2.max()) if lam2 is not None else ""))
     write_csv(outdir / "sweep.csv",

@@ -78,14 +78,13 @@ def check_grid_shape(grid: Grid, arrays: dict[str, np.ndarray], path="") -> None
 
 
 def write_vtk(path, grid: Grid, scalars: dict[str, np.ndarray],
-              vectors: dict[str, np.ndarray] | None = None,
-              title: str = "tumoropt snapshot") -> None:
+              vectors: dict[str, np.ndarray] | None = None) -> None:
     """Legacy ASCII VTK structured grid with nodal point data."""
     path = Path(path)
     nn = grid.n_nodes
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "tumoropt snapshot",
         "ASCII",
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {grid.nx + 1} {grid.ny + 1} 1",

@@ -128,18 +128,16 @@ def state_norm(system: System, diffs, tau: float, beta: float) -> float:
 
 def frechet_check(system: System, phi0: np.ndarray, sigma0: np.ndarray,
                   T: float, n_steps: int, w: ControlTriple,
-                  direction: Direction, eps_list=None,
-                  shrink_to_admissible: bool = True) -> FrechetReport:
+                  direction: Direction, eps_list) -> FrechetReport:
     """Measure the Taylor remainder of the control-to-state map.
 
-    For each epsilon the remainder R = || S(w + eps h) - S(w) - eps DS(w)h ||
-    is computed in the discrete state norm; the fitted log-log slope should
-    approach 2.
+    The direction is first scaled so that every ``w + eps h`` stays
+    admissible.  For each epsilon the remainder
+    R = || S(w + eps h) - S(w) - eps DS(w)h || is computed in the discrete
+    state norm; the fitted log-log slope should approach 2.
     """
-    eps_list = np.asarray(eps_list if eps_list is not None
-                          else np.logspace(-1, -3, 5), dtype=float)
-    if shrink_to_admissible:
-        direction = _shrink(w, direction, float(eps_list.max()))
+    eps_list = np.asarray(eps_list, dtype=float)
+    direction = _shrink(w, direction, float(eps_list.max()))
     tau = T / n_steps
     base = system.solve_state(w, phi0, sigma0, T, n_steps)
     lin = solve_linearised(system, base, w, direction)

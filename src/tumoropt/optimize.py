@@ -40,6 +40,28 @@ def _soft_threshold(z: np.ndarray, a: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - a, 0.0)
 
 
+@dataclass(frozen=True)
+class _Dosage:
+    """One L1-regularised dosage: it vanishes where its signed dual, ``int
+    k(phi) p`` for ``w2`` and ``-int h(phi) r`` for ``w3``, is at most ``l1``."""
+    name: str
+    values: np.ndarray
+    dual: np.ndarray | None
+    l2: float
+    l1: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
+
+
+def _dosages(w: ControlTriple, weights: CostWeights,
+             grad: ReducedGradient | None) -> tuple[_Dosage, _Dosage]:
+    """The per-dosage table at ``w``; without ``grad`` the duals are None."""
+    b = w.bounds
+    kp, hr = (None, None) if grad is None else (grad.kp_integral, -grad.hr_integral)
+    return (_Dosage("w2", w.w2, kp, weights.gamma2, weights.gamma4, b.w2_lo, b.w2_hi),
+            _Dosage("w3", w.w3, hr, weights.gamma3, weights.gamma5, b.w3_lo, b.w3_hi))
+
+
 def prox_project(w: ControlTriple, g, step: float,
                  weights: CostWeights) -> ControlTriple:
     """One proximal step: gradient descent, L1 shrinkage, box projection.
@@ -50,15 +72,13 @@ def prox_project(w: ControlTriple, g, step: float,
     """
     if step <= 0:
         raise PreconditionError("prox step must be positive")
-    g1, g2, g3 = (g.g1, g.g2, g.g3) if isinstance(g, ReducedGradient) \
-        else (g.h1, g.h2, g.h3)
+    d = g.direction() if isinstance(g, ReducedGradient) else g
     b = w.bounds
     # "+ 0.0" normalises negative zeros produced by the shrinkage
-    w1 = np.clip(w.w1 - step * g1, b.w1_lo, b.w1_hi) + 0.0
-    w2 = np.clip(_soft_threshold(w.w2 - step * g2, step * weights.gamma4),
-                 b.w2_lo, b.w2_hi) + 0.0
-    w3 = np.clip(_soft_threshold(w.w3 - step * g3, step * weights.gamma5),
-                 b.w3_lo, b.w3_hi) + 0.0
+    w1 = np.clip(w.w1 - step * d.h1, b.w1_lo, b.w1_hi) + 0.0
+    w2, w3 = (np.clip(_soft_threshold(dos.values - step * h, step * dos.l1),
+                      dos.lo, dos.hi) + 0.0
+              for dos, h in zip(_dosages(w, weights, None), (d.h2, d.h3)))
     return ControlTriple(w1, w2, w3, b)
 
 
@@ -265,31 +285,29 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
             converged = True
             message = f"stationarity residual {residual:.3e} <= {threshold:.1e}"
 
-    report = OptimizationReport(history=history, controls=w, trajectory=traj,
-                                gradient=grad,
-                                converged=converged, stagnated=stagnated,
-                                message=message, residual=residual)
-    if weights.gamma4 > 0:
-        report.lambda2 = _subgradient(w.w2, grad.kp_integral, weights.gamma4)
-    if weights.gamma5 > 0:
-        report.lambda3 = _subgradient(w.w3, -grad.hr_integral, weights.gamma5)
-    return report
+    lam = {dos.name: _subgradient(dos) for dos in _dosages(w, weights, grad)
+           if dos.l1 > 0}
+    return OptimizationReport(history=history, controls=w, trajectory=traj,
+                              gradient=grad,
+                              converged=converged, stagnated=stagnated,
+                              message=message, residual=residual,
+                              lambda2=lam.get("w2"), lambda3=lam.get("w3"))
 
 
 # ---------------------------------------------------------------------------
 # optimality diagnostics
 # ---------------------------------------------------------------------------
 
-def _subgradient(vals: np.ndarray, dual: np.ndarray, gamma: float) -> np.ndarray:
+def _subgradient(dos: _Dosage) -> np.ndarray:
     """L1-subgradient selection certifying stationarity of a dosage.
 
     Where the dosage is positive the selection is 1 (negative: -1); on its
     zero set it is the clamped dual quantity, which lies in [-1, 1] at
     stationary points.
     """
-    return np.where(vals > ZERO_TOL, 1.0,
-                    np.where(vals < -ZERO_TOL, -1.0,
-                             np.clip(dual / gamma, -1.0, 1.0)))
+    return np.where(dos.values > ZERO_TOL, 1.0,
+                    np.where(dos.values < -ZERO_TOL, -1.0,
+                             np.clip(dos.dual / dos.l1, -1.0, 1.0)))
 
 
 def zero_intervals(values: np.ndarray) -> list[tuple[int, int]]:
@@ -309,53 +327,39 @@ def zero_intervals(values: np.ndarray) -> list[tuple[int, int]]:
 
 
 @dataclass
-class SparsityReport:
-    """Per-step comparison of the dosage zero sets with their dual conditions."""
-    w2: np.ndarray
-    kp_integral: np.ndarray
-    w3: np.ndarray
-    hr_integral: np.ndarray
-    gamma4: float
-    gamma5: float
-    w2_zero: np.ndarray
-    w2_condition: np.ndarray          # int k(phi) p dx <= gamma4
-    w2_boundary: np.ndarray
-    w3_zero: np.ndarray
-    w3_condition: np.ndarray          # int h(phi) r dx >= -gamma5
-    w3_boundary: np.ndarray
-    zero_intervals_w2: list[tuple[int, int]]
-    zero_intervals_w3: list[tuple[int, int]]
+class DosageSparsity:
+    """Per-step comparison of one dosage's zero set with its dual condition
+    ``dual <= l1``; a step whose dual lies within ``BOUNDARY_SLACK`` of the
+    threshold is on the boundary and not compared."""
+    values: np.ndarray
+    dual: np.ndarray
+    zero: np.ndarray
+    condition: np.ndarray
+    boundary: np.ndarray
+    zero_intervals: list[tuple[int, int]]
 
-    def agreement(self, which: str) -> float:
-        zero, cond, boundary = ((self.w2_zero, self.w2_condition, self.w2_boundary)
-                                if which == "w2"
-                                else (self.w3_zero, self.w3_condition, self.w3_boundary))
-        keep = ~boundary
+    @property
+    def agreement(self) -> float:
+        keep = ~self.boundary
         if not keep.any():
             return 1.0
-        return float(np.mean(zero[keep] == cond[keep]))
+        return float(np.mean(self.zero[keep] == self.condition[keep]))
 
 
 def sparsity_report(grad: ReducedGradient, w: ControlTriple,
-                    weights: CostWeights) -> SparsityReport:
-    """Evaluate the zero-set characterisations of the two dosages at ``w``,
-    whose reduced gradient is ``grad``."""
-    kp, hr = grad.kp_integral, grad.hr_integral
-    scale2 = max(1.0, weights.gamma4, float(np.abs(kp).max(initial=0.0)))
-    scale3 = max(1.0, weights.gamma5, float(np.abs(hr).max(initial=0.0)))
-    return SparsityReport(
-        w2=w.w2.copy(), kp_integral=kp,
-        w3=w.w3.copy(), hr_integral=hr,
-        gamma4=weights.gamma4, gamma5=weights.gamma5,
-        w2_zero=np.abs(w.w2) <= ZERO_TOL,
-        w2_condition=kp <= weights.gamma4,
-        w2_boundary=np.abs(kp - weights.gamma4) <= BOUNDARY_SLACK * scale2,
-        w3_zero=np.abs(w.w3) <= ZERO_TOL,
-        w3_condition=hr >= -weights.gamma5,
-        w3_boundary=np.abs(hr + weights.gamma5) <= BOUNDARY_SLACK * scale3,
-        zero_intervals_w2=zero_intervals(w.w2),
-        zero_intervals_w3=zero_intervals(w.w3),
-    )
+                    weights: CostWeights) -> dict[str, DosageSparsity]:
+    """Evaluate the zero-set characterisation of each dosage at ``w``, whose
+    reduced gradient is ``grad``; keyed by dosage name."""
+    out = {}
+    for dos in _dosages(w, weights, grad):
+        scale = max(1.0, dos.l1, float(np.abs(dos.dual).max(initial=0.0)))
+        out[dos.name] = DosageSparsity(
+            values=dos.values.copy(), dual=dos.dual,
+            zero=np.abs(dos.values) <= ZERO_TOL,
+            condition=dos.dual <= dos.l1,
+            boundary=np.abs(dos.dual - dos.l1) <= BOUNDARY_SLACK * scale,
+            zero_intervals=zero_intervals(dos.values))
+    return out
 
 
 def projection_formula_check(grad: ReducedGradient, w: ControlTriple,
@@ -363,8 +367,10 @@ def projection_formula_check(grad: ReducedGradient, w: ControlTriple,
     """Pointwise deviation of the controls ``w``, whose reduced gradient is
     ``grad``, from their projection formulas.
 
-    At a stationary point each deviation is bounded by the stationarity
-    residual divided by the corresponding quadratic weight.
+    A formula exists for ``w1`` when ``gamma1 > 0`` and for a dosage when
+    both of its weights are positive; with none the result is empty.  At a
+    stationary point each deviation is bounded by the stationarity residual
+    divided by the corresponding quadratic weight.
     """
     b = w.bounds
     out: dict[str, float] = {}
@@ -372,18 +378,11 @@ def projection_formula_check(grad: ReducedGradient, w: ControlTriple,
         # g1 = gamma1 w1 + kappa r_hat, so -kappa r_hat / gamma1 = w1 - g1/gamma1
         formula = np.clip(w.w1 - grad.g1 / weights.gamma1, b.w1_lo, b.w1_hi)
         out["w1"] = float(np.abs(w.w1 - formula).max())
-    if weights.gamma2 > 0 and weights.gamma4 > 0:
-        lam2 = _subgradient(w.w2, grad.kp_integral, weights.gamma4)
-        formula = np.clip((grad.kp_integral - weights.gamma4 * lam2) / weights.gamma2,
-                          b.w2_lo, b.w2_hi)
-        out["w2"] = float(np.abs(w.w2 - formula).max())
-    if weights.gamma3 > 0 and weights.gamma5 > 0:
-        lam3 = _subgradient(w.w3, -grad.hr_integral, weights.gamma5)
-        formula = np.clip(-(weights.gamma5 * lam3 + grad.hr_integral) / weights.gamma3,
-                          b.w3_lo, b.w3_hi)
-        out["w3"] = float(np.abs(w.w3 - formula).max())
-    if not out:
-        raise PreconditionError(
-            "projection formulas need positive quadratic weights")
-    out["max"] = max(v for k, v in out.items())
+    for dos in _dosages(w, weights, grad):
+        if dos.l2 > 0 and dos.l1 > 0:
+            formula = np.clip((dos.dual - dos.l1 * _subgradient(dos)) / dos.l2,
+                              dos.lo, dos.hi)
+            out[dos.name] = float(np.abs(dos.values - formula).max())
+    if out:
+        out["max"] = max(out.values())
     return out

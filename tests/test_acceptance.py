@@ -176,11 +176,11 @@ def test_criterion_06_stationarity_and_projection(converged_sparse_run):
 def test_criterion_07_sparsity_characterisation(converged_sparse_run):
     problem, report = converged_sparse_run
     sr = sparsity_report(report.gradient, report.controls, problem.weights)
-    a2, a3 = sr.agreement("w2"), sr.agreement("w3")
+    a2, a3 = sr["w2"].agreement, sr["w3"].agreement
     ok = a2 >= 0.99 and a3 >= 0.99
     _report(7, "sparsity characterisation", ok,
             f"agreement w2={a2:.3f}, w3={a3:.3f}, "
-            f"zero runs w2={sr.zero_intervals_w2}")
+            f"zero runs w2={sr['w2'].zero_intervals}")
 
 
 def test_criterion_08_large_gamma_vanishing_control():

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 
+from tumoropt import experiments
 from tumoropt.cli import main
 from tumoropt.config import default_config, dumps, load_config
 from tumoropt.experiments import run_experiment
+from tumoropt.state import System
 
 # the package namespace binds ``optimize`` to the function
 optmod = importlib.import_module("tumoropt.optimize")
@@ -108,6 +110,47 @@ def test_forward_with_disk_checkpoints(tmp_path):
     assert run_experiment(ref, out2, seed=0) == 0
     assert (out1 / "checkpoints" / "index.txt").exists()
     assert (out1 / "forward.csv").read_bytes() == (out2 / "forward.csv").read_bytes()
+
+
+def test_forward_walks_disk_trajectory_once(tmp_path, monkeypatch):
+    calls = []
+    real = System.advance
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(System, "advance", counting)
+    cfg = default_config(grid__nx=8, grid__ny=8, time__steps=16,
+                         solver__checkpoint_every=4)
+    assert run_experiment(cfg, tmp_path / "out", seed=0) == 0
+    # 16 steps of the solve, then each segment regenerated once for the rows
+    assert len(calls) == 32
+
+
+OPTIMIZE_SMALL = dict(grid__nx=4, grid__ny=4, time__steps=4, time__T=0.25,
+                      experiment__name="optimize", opt__max_iterations=5)
+
+
+def test_optimize_without_projection_formula(tmp_path):
+    # gamma1 = gamma4 = gamma5 = 0: no control has a projection formula
+    cfg = default_config(**OPTIMIZE_SMALL, cost__gamma1=0.0)
+    out = tmp_path / "out"
+    run_experiment(cfg, out, seed=0)
+    assert (out / "iterates.csv").exists()
+    assert not (out / "projection.csv").exists()
+    assert not (out / "error.json").exists()
+
+
+def test_optimize_reports_projection_check_errors(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("broken projection check")
+
+    monkeypatch.setattr(experiments, "projection_formula_check", broken)
+    out = tmp_path / "out"
+    assert run_experiment(default_config(**OPTIMIZE_SMALL), out, seed=0) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "ValueError", "message": "broken projection check"}
 
 
 def test_optimize_experiment_artifacts(tmp_path):

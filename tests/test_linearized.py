@@ -86,7 +86,8 @@ def test_frechet_quadratic_slope(rng):
     sysd, phi0, sig0, w, _, T, N = _setup(nx=6, ny=6, N=5, T=0.4)
     space = sysd.control_space(T, N)
     h = space.random_direction(rng)
-    rep = frechet_check(sysd, phi0, sig0, T, N, w, h)
+    rep = frechet_check(sysd, phi0, sig0, T, N, w, h,
+                        eps_list=np.logspace(-1, -3, 5))
     assert 1.8 <= rep.slope <= 2.2
     ratio = rep.remainders[0] / rep.remainders[1]  # adjacent eps differ by sqrt(10)
     assert 5.0 <= ratio <= 20.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from tumoropt.adjoint import ReducedGradient
 from tumoropt.cost import CostConfigError, CostWeights, eval_cost
 from tumoropt.optimize import (ZERO_TOL, ControlProblem, GateError,
-                               OptimizeOptions, optimize,
+                               OptimizeOptions, _dosages, _subgradient, optimize,
                                projection_formula_check, prox_project,
                                sparsity_report, stationarity_residual,
                                zero_intervals)
@@ -337,11 +339,11 @@ def test_sparsity_report_agreement_at_convergence():
     prob = _problem()
     rep = _converged(prob)
     sr = sparsity_report(rep.gradient, rep.controls, prob.weights)
-    assert sr.agreement("w2") >= 0.99
-    assert sr.agreement("w3") >= 0.99
+    assert sr["w2"].agreement >= 0.99
+    assert sr["w3"].agreement >= 0.99
     # interval extraction matches a direct scan
     direct = zero_intervals(rep.controls.w2)
-    assert sr.zero_intervals_w2 == direct
+    assert sr["w2"].zero_intervals == direct
 
 
 def test_projection_formulas_at_convergence():
@@ -372,3 +374,69 @@ def test_projection_formula_trivial_minimum():
     rep = _converged(prob, iters=30)
     dev = projection_formula_check(rep.gradient, rep.controls, prob.weights)
     assert dev["max"] <= 1e-12
+
+
+def _swap_dosages(w, grad, weights):
+    """The same problem data with the two dosages exchanged: values, boxes,
+    weights and signed duals (kp_integral <-> -hr_integral)."""
+    b = w.bounds
+    bounds = ControlBounds(w1_lo=b.w1_lo, w1_hi=b.w1_hi, w2_lo=b.w3_lo,
+                           w2_hi=b.w3_hi, w3_lo=b.w2_lo, w3_hi=b.w2_hi)
+    return (ControlTriple(w.w1, w.w3, w.w2, bounds),
+            ReducedGradient(g1=grad.g1, g2=grad.g3, g3=grad.g2,
+                            kp_integral=-grad.hr_integral,
+                            hr_integral=-grad.kp_integral),
+            dataclasses.replace(weights, gamma2=weights.gamma3,
+                                gamma3=weights.gamma2, gamma4=weights.gamma5,
+                                gamma5=weights.gamma4))
+
+
+def test_dosage_optimality_rule_is_symmetric():
+    # swapping the dosages swaps every per-dosage optimality quantity bit for
+    # bit, which pins the sign of the w3 dual
+    rng = np.random.default_rng(3)
+    N = 16
+    b = ControlBounds(w2_lo=0.0, w2_hi=0.8, w3_lo=0.0, w3_hi=0.6)
+    w2 = np.where(rng.random(N) < 0.4, 0.0, rng.uniform(0.0, 0.8, N))
+    w3 = np.where(rng.random(N) < 0.4, 0.0, rng.uniform(0.0, 0.6, N))
+    w2[-1], w3[-1] = 0.8, 0.6
+    w = ControlTriple(np.zeros((2, N)), w2, w3, b)
+    weights = _toy_weights(gamma1=0.2, gamma2=0.1, gamma3=0.3, gamma4=0.05,
+                           gamma5=0.02)
+    kp = rng.normal(0.0, 0.1, N)
+    hr = rng.normal(0.0, 0.1, N)
+    kp[0], hr[0] = weights.gamma4, -weights.gamma5      # on the boundary
+    grad = ReducedGradient(g1=np.zeros((2, N)),
+                           g2=weights.gamma2 * w2 - kp,
+                           g3=weights.gamma3 * w3 + hr,
+                           kp_integral=kp, hr_integral=hr)
+    w_s, grad_s, weights_s = _swap_dosages(w, grad, weights)
+    swap = {"w2": "w3", "w3": "w2"}
+
+    sr, sr_s = (sparsity_report(grad, w, weights),
+                sparsity_report(grad_s, w_s, weights_s))
+    dev, dev_s = (projection_formula_check(grad, w, weights),
+                  projection_formula_check(grad_s, w_s, weights_s))
+    lam = {d.name: _subgradient(d) for d in _dosages(w, weights, grad)}
+    lam_s = {d.name: _subgradient(d) for d in _dosages(w_s, weights_s, grad_s)}
+    prox = prox_project(w, grad, 0.7, weights)
+    prox_s = prox_project(w_s, grad_s, 0.7, weights_s)
+    for name, other in swap.items():
+        rec, rec_s = sr[name], sr_s[other]
+        for field in ("values", "dual", "zero", "condition", "boundary"):
+            assert getattr(rec, field).tobytes() == getattr(rec_s, field).tobytes()
+        assert rec.zero_intervals == rec_s.zero_intervals
+        assert rec.agreement == rec_s.agreement
+        assert dev[name] == dev_s[other]
+        assert lam[name].tobytes() == lam_s[other].tobytes()
+        assert getattr(prox, name).tobytes() == getattr(prox_s, other).tobytes()
+    # the w3 dual is -hr: positive hr keeps the antiangiogenic dosage at zero
+    assert sr["w3"].dual.tobytes() == (-hr).tobytes()
+    assert sr["w3"].boundary[0] and sr["w2"].boundary[0]
+
+
+def test_projection_formula_needs_a_positive_weight_pair():
+    w = _toy_controls()
+    grad = ReducedGradient(g1=np.zeros((2, 3)), g2=np.zeros(3), g3=np.zeros(3),
+                           kp_integral=np.zeros(3), hr_integral=np.zeros(3))
+    assert projection_formula_check(grad, w, _toy_weights(gamma1=0.0)) == {}

@@ -1,7 +1,9 @@
 """The benchmark's tracer must be able to patch and restore the package."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,3 +48,56 @@ def test_traced_forward_factors_ch_once_per_step():
     m = tracing.layer_metrics(tracer.spans, "unit-1", sysd.grid.n_nodes)
     assert m["splu.ch.count"] == cfg["time.steps"]
     assert m["state.newton_per_step"] == 1.0
+
+
+def _is_lookup(func) -> bool:
+    """``incl.get``, ``count.get`` or ``under``."""
+    if isinstance(func, ast.Attribute):
+        return (func.attr == "get" and isinstance(func.value, ast.Name)
+                and func.value.id in ("incl", "count"))
+    return isinstance(func, ast.Name) and func.id == "under"
+
+
+def _strings(nodes) -> list[str]:
+    return [n.value for n in nodes
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def _traced_names() -> set[str]:
+    """Every span name ``tracing.py`` looks up, except the ``splu.*`` ones:
+    ``ASSEMBLY``, the keys of ``incl.get``/``count.get``, the arguments of
+    ``under`` and the right-hand sides of ``rec[NAME] == ...``."""
+    names = set()
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "ASSEMBLY" for t in node.targets):
+            names.update(elt.value for elt in node.value.elts)
+        elif isinstance(node, ast.Call) and _is_lookup(node.func):
+            names.update(_strings(node.args))
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Subscript)
+              and isinstance(node.left.slice, ast.Name)
+              and node.left.slice.id == "NAME"):
+            names.update(_strings(node.comparators))
+    return {n for n in names if not n.startswith("splu.")}
+
+
+def _wrapped_by_tracer(name: str) -> bool:
+    # ``Tracer.install`` wraps public functions defined in the layer module
+    # and the public methods a layer class defines itself
+    layer, *path = name.split(".")
+    mod = importlib.import_module(f"tumoropt.{layer}")
+    if len(path) == 1:
+        obj = vars(mod).get(path[0])
+        return inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    cls_name, attr = path
+    cls = vars(mod).get(cls_name)
+    member = vars(cls).get(attr) if inspect.isclass(cls) else None
+    return inspect.isfunction(member) or isinstance(member, (staticmethod, classmethod))
+
+
+def test_traced_span_names_resolve():
+    # a rename in the package would silently zero the metric reading the name
+    names = _traced_names()
+    assert len(names) >= 19
+    missing = sorted(n for n in names if not _wrapped_by_tracer(n))
+    assert missing == []
