@@ -98,8 +98,7 @@ def _nutrient_multiplier(system: System, coef, p, q, r_next, tau: float) -> np.n
     rhs = quad.pair(coef.growth_dsigma * (quad.P @ p)) + params.chi * (system.M @ q)
     if params.beta > 0:
         rhs = rhs + (params.beta / tau) * (system.M @ r_next)
-    A = system.nutrient_operator(coef, tau).tocsc()
-    return splu(A, **SPLU_OPTIONS["spd"]).solve(rhs)
+    return splu(system.nutrient_operator(coef, tau), **SPLU_OPTIONS["spd"]).solve(rhs)
 
 
 def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeights,
@@ -158,7 +157,7 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
                 rhs1 = cost_phi + _composition_rhs(system, coef, sig_gp, w.w2[n],
                                                    w.w3[n], nxt, tau)
             p, q = _composition_multipliers(system, snap.phi,
-                                            rhs1 + system.Bc.T @ s, tau)
+                                            rhs1 + system.BcT @ s, tau)
             coef = system.coefficients(traj.snapshot(j))
             r = _nutrient_multiplier(system, coef, p, q, nxt.r, tau)
         else:
@@ -166,7 +165,7 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
             coef = system.coefficients(snap)
             sig_gp = quad.P @ snap.sigma
             cost_phi, cost_load = running_cost_sources(system, weights, snap, coef, j)
-            rhs1 = (cost_phi + system.Bc.T @ nxt.s
+            rhs1 = (cost_phi + system.BcT @ nxt.s
                     + _composition_rhs(system, coef, sig_gp, w.w2[j], w.w3[j], nxt, tau))
             p, q = _composition_multipliers(system, snap.phi, rhs1, tau)
             r = _nutrient_multiplier(system, coef, p, q, nxt.r, tau)

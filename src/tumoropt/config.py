@@ -281,11 +281,19 @@ def validate_config(cfg: RunConfig) -> None:
     # errors carry the config context rather than a solver stack
     try:
         cfg.build_grid()
-        cfg.build_params()
+        params = cfg.build_params()
         cfg.build_nonlinearities()
         cfg.build_bounds()
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
+    # the nutrient stays in [0, cap] only for dosages 0 <= w3 <= lambda_c cap
+    if cfg["control.w3_min"] < 0:
+        raise ConfigError(f"control.w3_min = {cfg['control.w3_min']!r} must be "
+                          f">= 0 to keep the nutrient non-negative (A5)")
+    w3_cap = params.lambda_c * params.nutrient_cap
+    if cfg["control.w3_max"] > w3_cap:
+        raise ConfigError(f"control.w3_max = {cfg['control.w3_max']!r} exceeds "
+                          f"lambda_c * nutrient_cap = {w3_cap!r} (A5)")
     try:
         CostWeights(**_scalar_weights(cfg))
     except CostConfigError as exc:

@@ -10,6 +10,12 @@ Nonlinear terms are evaluated pointwise at the Gauss points through the
 interpolation operator ``P`` and paired back with ``P^T diag(w)``; keeping a
 single quadrature pipeline is what makes the discrete energy law and the
 transpose-mode adjoint exact.
+
+The scalar nodal operators (mass, stiffness and every weighted zero-order
+form ``P^T diag(w c) P``) share one fixed CSC pattern, the 9-point nodal
+pattern, computed once per grid.  They are assembled as data arrays on it:
+a per-cell sum over the 4 Gauss points of 4x4 shape-function products,
+scattered into the pattern by ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -77,19 +83,28 @@ class ElasticityTensor:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Gauss-point evaluation operators for one grid.
+    """Gauss-point evaluation operators and the nodal pattern of one grid.
 
-    P   : (nq, nn)     nodal -> Gauss-point values
-    Gs  : (2 nq, nn)   nodal -> gradient components [d/dx; d/dy] per point
-    G   : (3 nq, 2 nn) displacement dofs -> strain Voigt triples per point
-    w   : (nq,)        quadrature weights (sum = area)
-    xy  : (nq, 2)      Gauss point coordinates
+    P       : (nq, nn)     nodal -> Gauss-point values
+    G       : (3 nq, 2 nn) displacement dofs -> strain Voigt triples per point
+    PT, GT  : transpose views of P and G, sharing their arrays
+    w       : (nq,)        quadrature weights (sum = area)
+    xy      : (nq, 2)      Gauss point coordinates
+    indptr, indices : the CSC pattern of every scalar nodal operator
+    slots   : (16 n_cells,) position in that pattern of each cell-local entry
+              (row node a, column node b) of cell c, at 16 c + 4 a + b;
+              the pattern arrays are read-only int32, shared by every
+              operator assembled on them
     """
     P: sp.csr_matrix
-    Gs: sp.csr_matrix
     G: sp.csr_matrix
+    PT: sp.csc_matrix
+    GT: sp.csc_matrix
     w: np.ndarray
     xy: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
 
     @property
     def nq(self) -> int:
@@ -100,7 +115,7 @@ class Quadrature:
 
     def pair(self, values_at_gps: np.ndarray) -> np.ndarray:
         """Weak pairing (v, zeta) for all nodal test functions zeta."""
-        return self.P.T @ (self.w * values_at_gps)
+        return self.PT @ (self.w * values_at_gps)
 
     def pair_stress(self, stress_v: np.ndarray) -> np.ndarray:
         """Weak pairing (T, E(eta)) of a symmetric tensor field at the GPs.
@@ -108,15 +123,35 @@ class Quadrature:
         ``stress_v`` has shape (nq, 3); returns a vector over displacement dofs.
         """
         weighted = (stress_v * VOIGT_W) * self.w[:, None]
-        return self.G.T @ weighted.ravel()
+        return self.GT @ weighted.ravel()
 
     def strain(self, u: np.ndarray) -> np.ndarray:
         """Strain Voigt triples (nq, 3) of a displacement vector (2 nn,)."""
         return (self.G @ u).reshape(-1, 3)
 
-    def reaction_matrix(self, coeff_at_gps: np.ndarray) -> sp.csr_matrix:
-        """Assemble P^T diag(w * coeff) P, the weighted zero-order form."""
-        return (self.P.T @ sp.diags(self.w * coeff_at_gps) @ self.P).tocsr()
+    def reaction_matrix(self, coeff_at_gps: np.ndarray) -> np.ndarray:
+        """Pattern data of P^T diag(w * coeff) P, the weighted zero-order form."""
+        return self._assemble(self.w * coeff_at_gps, _MASS_TABLE)
+
+    def pattern_data(self, A: sp.spmatrix) -> np.ndarray:
+        """Values of a nodal matrix whose nonzeros lie inside the pattern."""
+        A = A.tocoo()
+        nn = self.indptr.size - 1
+        keys = np.repeat(np.arange(nn), np.diff(self.indptr)) * nn + self.indices
+        wanted = A.col.astype(np.int64) * nn + A.row
+        pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        if not np.array_equal(keys[pos], wanted):
+            raise ValueError("matrix has entries outside the nodal pattern")
+        return np.bincount(pos, A.data, minlength=keys.size)
+
+    def _assemble(self, weights_at_gps: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Pattern data of sum_g weights_g table_g over every cell.
+
+        ``table[g, 4 a + b]`` is the cell-local entry (a, b) contributed by
+        Gauss point g; the cell sums are one (n_cells, 4) @ (4, 16) product.
+        """
+        local = weights_at_gps.reshape(-1, 4) @ table
+        return np.bincount(self.slots, local.ravel(), minlength=self.indices.size)
 
 
 def _shape_values():
@@ -128,10 +163,49 @@ def _shape_values():
     return N, dN_dxi, dN_deta
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-Gauss-point products a[g, a_] b[g, b_] laid out as (4, 16)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(4, 16)
+
+
+_N_AT_GPS = _shape_values()[0]
+_MASS_TABLE = _outer(_N_AT_GPS, _N_AT_GPS)
+
+
+def _shape_gradients(grid: Grid):
+    _, dN_dxi, dN_deta = _shape_values()
+    return dN_dxi * (2.0 / grid.hx), dN_deta * (2.0 / grid.hy)
+
+
+# cell-local node offsets (x, y), in the order of ``Grid.cells``
+_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+def _nodal_pattern(grid: Grid):
+    """CSC pattern of the node pairs that share a cell, and each cell entry's slot.
+
+    Node (i, j) is numbered i + j (nx + 1), so column s holds its valid
+    neighbours (i + di, j + dj) in the row order of the 9 offsets (dj, di).
+    """
+    nx1, ny1 = grid.nx + 1, grid.ny + 1
+    j, i = np.divmod(np.arange(grid.n_nodes), nx1)
+    dj, di = np.arange(9) // 3 - 1, np.arange(9) % 3 - 1
+    ni, nj = i[:, None] + di, j[:, None] + dj
+    valid = (ni >= 0) & (ni < nx1) & (nj >= 0) & (nj < ny1)      # (nn, 9)
+    indices = (ni + nj * nx1)[valid].astype(np.int32)
+    indptr = np.zeros(grid.n_nodes + 1, dtype=np.int32)
+    np.cumsum(valid.sum(axis=1), out=indptr[1:])
+    position = np.cumsum(valid, axis=1) - 1 + indptr[:-1, None]   # slot of each offset
+    d = _CORNERS[:, None, :] - _CORNERS[None, :, :]              # row node minus column node
+    offset = 3 * (d[..., 1] + 1) + d[..., 0] + 1
+    slots = position[grid.cells[:, None, :], offset].astype(np.int32).ravel()
+    for a in (indptr, indices, slots):
+        a.flags.writeable = False
+    return indptr, indices, slots
+
+
 def quadrature(grid: Grid) -> Quadrature:
-    N, dN_dxi, dN_deta = _shape_values()
-    dN_dx = dN_dxi * (2.0 / grid.hx)
-    dN_dy = dN_deta * (2.0 / grid.hy)
+    dN_dx, dN_dy = _shape_gradients(grid)
 
     nc = grid.n_cells
     cells = grid.cells                                  # (nc, 4)
@@ -145,18 +219,12 @@ def quadrature(grid: Grid) -> Quadrature:
 
     rows = (np.arange(nq)[:, None] * np.ones(4, dtype=int)).ravel()
     cols = np.repeat(cells, 4, axis=0).ravel()          # cell c repeated for its 4 gps
-    P = sp.coo_matrix((np.tile(N, (nc, 1)).ravel(), (rows, cols)),
+    P = sp.coo_matrix((np.tile(_N_AT_GPS, (nc, 1)).ravel(), (rows, cols)),
                       shape=(nq, grid.n_nodes)).tocsr()
 
+    # strain rows: [Exx; Eyy; Exy] per gp, displacement dofs interleaved (x, y)
     gx = np.tile(dN_dx, (nc, 1)).ravel()
     gy = np.tile(dN_dy, (nc, 1)).ravel()
-    rows_gx = (2 * np.arange(nq)[:, None] * np.ones(4, dtype=int)).ravel()
-    Gs = sp.coo_matrix(
-        (np.concatenate([gx, gy]),
-         (np.concatenate([rows_gx, rows_gx + 1]), np.concatenate([cols, cols]))),
-        shape=(2 * nq, grid.n_nodes)).tocsr()
-
-    # strain rows: [Exx; Eyy; Exy] per gp, displacement dofs interleaved (x, y)
     r_xx = (3 * np.arange(nq)[:, None] * np.ones(4, dtype=int)).ravel()
     data = np.concatenate([gx, gy, 0.5 * gy, 0.5 * gx])
     rows_g = np.concatenate([r_xx, r_xx + 1, r_xx + 2, r_xx + 2])
@@ -164,18 +232,26 @@ def quadrature(grid: Grid) -> Quadrature:
     G = sp.coo_matrix((data, (rows_g, cols_g)),
                       shape=(3 * nq, 2 * grid.n_nodes)).tocsr()
 
-    return Quadrature(P=P, Gs=Gs, G=G, w=w, xy=xy)
+    indptr, indices, slots = _nodal_pattern(grid)
+    return Quadrature(P=P, G=G, PT=P.T, GT=G.T, w=w, xy=xy,
+                      indptr=indptr, indices=indices, slots=slots)
 
 
-def assemble_mass(grid: Grid, quad: Quadrature | None = None) -> sp.csr_matrix:
+def _nodal_matrix(quad: Quadrature, data: np.ndarray) -> sp.csc_matrix:
+    n = quad.indptr.size - 1
+    return sp.csc_matrix((data, quad.indices, quad.indptr), shape=(n, n))
+
+
+def assemble_mass(grid: Grid, quad: Quadrature | None = None) -> sp.csc_matrix:
     quad = quad or quadrature(grid)
-    return (quad.P.T @ sp.diags(quad.w) @ quad.P).tocsr()
+    return _nodal_matrix(quad, quad._assemble(quad.w, _MASS_TABLE))
 
 
-def assemble_stiffness(grid: Grid, quad: Quadrature | None = None) -> sp.csr_matrix:
+def assemble_stiffness(grid: Grid, quad: Quadrature | None = None) -> sp.csc_matrix:
     quad = quad or quadrature(grid)
-    w2 = np.repeat(quad.w, 2)
-    return (quad.Gs.T @ sp.diags(w2) @ quad.Gs).tocsr()
+    dN_dx, dN_dy = _shape_gradients(grid)
+    table = _outer(dN_dx, dN_dx) + _outer(dN_dy, dN_dy)
+    return _nodal_matrix(quad, quad._assemble(quad.w, table))
 
 
 def assemble_boundary_mass(grid: Grid, portion: str = "gamma") -> sp.csr_matrix:

@@ -7,6 +7,7 @@ legacy ASCII structured-grid dialect, one file per snapshot.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -38,22 +39,48 @@ def write_fld(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_fld(path) -> dict[str, np.ndarray]:
+    """Read a container written by ``write_fld``, arrays in file order.
+
+    A short read, trailing bytes, a bad name, a negative extent or a repeated
+    name raise ``FieldFormatError`` naming the path.  Every length is checked
+    against the bytes left before it is read, so a corrupt header cannot ask
+    for a huge allocation.
+    """
     path = Path(path)
+    buf = path.read_bytes()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise FieldFormatError(f"{path}: truncated, {n} bytes expected at "
+                                   f"byte {pos} of {len(buf)}")
+        pos += n
+        return buf[pos - n:pos]
+
+    if take(4) != _MAGIC:
+        raise FieldFormatError(f"{path}: not a field container")
+    version, count = struct.unpack("<II", take(8))
+    if version != 1:
+        raise FieldFormatError(f"{path}: unsupported version {version}")
     out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise FieldFormatError(f"{path}: not a field container")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != 1:
-            raise FieldFormatError(f"{path}: unsupported version {version}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim)) if ndim else ()
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            out[name] = data.copy()
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FieldFormatError(f"{path}: field name is not UTF-8") from exc
+        if name in out:
+            raise FieldFormatError(f"{path}: field {name!r} appears twice")
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}q", take(8 * ndim))
+        if min(shape, default=0) < 0:
+            raise FieldFormatError(f"{path}: field {name!r} has shape {shape}")
+        data = take(8 * math.prod(shape))
+        out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    if pos != len(buf):
+        raise FieldFormatError(f"{path}: {len(buf) - pos} trailing bytes after "
+                               f"{count} fields")
     return out
 
 

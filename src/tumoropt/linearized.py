@@ -58,7 +58,7 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
                            + coef.nutrient_dw3 * direction.h3[j]))
         if p.beta > 0:
             rhs = rhs + (p.beta / tau) * (system.M @ psi)
-        psi_new = splu(A.tocsc(), **SPLU_OPTIONS["spd"]).solve(rhs)
+        psi_new = splu(A, **SPLU_OPTIONS["spd"]).solve(rhs)
 
         # composition direction: exact derivative of the Newton-converged step
         strain_v = quad.strain(out[-1].v)

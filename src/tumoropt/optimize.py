@@ -368,7 +368,8 @@ def projection_formula_check(grad: ReducedGradient, w: ControlTriple,
     ``grad``, from their projection formulas.
 
     A formula exists for ``w1`` when ``gamma1 > 0`` and for a dosage when
-    both of its weights are positive; with none the result is empty.  At a
+    its L2 weight is positive (without an L1 weight it is
+    ``clip(dual / l2, lo, hi)``); with none the result is empty.  At a
     stationary point each deviation is bounded by the stationarity residual
     divided by the corresponding quadratic weight.
     """
@@ -379,9 +380,9 @@ def projection_formula_check(grad: ReducedGradient, w: ControlTriple,
         formula = np.clip(w.w1 - grad.g1 / weights.gamma1, b.w1_lo, b.w1_hi)
         out["w1"] = float(np.abs(w.w1 - formula).max())
     for dos in _dosages(w, weights, grad):
-        if dos.l2 > 0 and dos.l1 > 0:
-            formula = np.clip((dos.dual - dos.l1 * _subgradient(dos)) / dos.l2,
-                              dos.lo, dos.hi)
+        if dos.l2 > 0:
+            dual = dos.dual - dos.l1 * _subgradient(dos) if dos.l1 > 0 else dos.dual
+            formula = np.clip(dual / dos.l2, dos.lo, dos.hi)
             out[dos.name] = float(np.abs(dos.values - formula).max())
     if out:
         out["max"] = max(out.values())

@@ -287,6 +287,23 @@ class StateTrajectory:
 # the discrete system
 # ---------------------------------------------------------------------------
 
+def _block_pattern(quad: fem.Quadrature):
+    """CSC index set of ``bmat([[A, B], [C, D]])`` for blocks on the nodal
+    pattern, and the order that takes the concatenated block data
+    (A, C, B, D) to its CSC data: the blocks carry their data positions."""
+    n, nnz = quad.indptr.size - 1, quad.indices.size
+
+    def block(k):
+        positions = np.arange(k * nnz, (k + 1) * nnz, dtype=float)
+        return sp.csc_matrix((positions, quad.indices, quad.indptr), shape=(n, n))
+
+    layout = sp.bmat([[block(0), block(2)], [block(1), block(3)]], format="csc")
+    arrays = [a.astype(np.int32) for a in (layout.indptr, layout.indices, layout.data)]
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class System:
     """Spatial discretization bound to one parameter set.
 
@@ -309,12 +326,18 @@ class System:
         self.M = fem.assemble_mass(grid, self.quad)
         self.K = fem.assemble_stiffness(grid, self.quad)
         self.Mb = fem.assemble_boundary_mass(grid, "gamma")
-        self._mass_lu = splu(self.M.tocsc(), **SPLU_OPTIONS["spd"])
+        self._mass_lu = splu(self.M, **SPLU_OPTIONS["spd"])
+        # the per-step operators are data arrays on the nodal pattern of M and
+        # K: the fixed nutrient part K + kappa Mb, and the block layout of the
+        # composition Jacobian
+        self._nutrient_fixed = self.K.data + params.kappa * self.quad.pattern_data(self.Mb)
+        self._ch_indptr, self._ch_indices, self._ch_order = _block_pattern(self.quad)
 
         self.A_red, self.free = fem.assemble_elasticity(grid, params.C, self.quad)
         self._elas_lu = splu(self.A_red, **SPLU_OPTIONS["spd"])
         self.Bc = fem.assemble_coupling_phi_to_strain(grid, params.C,
                                                       params.misfit_strain, self.quad)
+        self.BcT = self.Bc.T
         bar_stress = np.tile(params.C.apply(params.bar_strain), (self.quad.nq, 1))
         self.load_const = (self.quad.pair_stress(bar_stress)
                            + fem.neumann_load(grid, params.g_load))
@@ -376,12 +399,13 @@ class System:
     # -- nutrient step ---------------------------------------------------------
 
     def nutrient_operator(self, coef: con.GaussCoefficients,
-                          tau: float) -> sp.csr_matrix:
-        A = (self.K + self.params.kappa * self.Mb
-             + self.quad.reaction_matrix(-coef.nutrient_dsigma))
+                          tau: float) -> sp.csc_matrix:
+        """K + kappa Mb + P^T diag(w (lambda_c h + B)) P + (beta/tau) M."""
+        quad = self.quad
+        data = self._nutrient_fixed + quad.reaction_matrix(-coef.nutrient_dsigma)
         if self.params.beta > 0:
-            A = A + (self.params.beta / tau) * self.M
-        return A.tocsr()
+            data += (self.params.beta / tau) * self.M.data
+        return sp.csc_matrix((data, quad.indices, quad.indptr), shape=self.M.shape)
 
     def step_nutrient(self, sigma_prev: np.ndarray, coef: con.GaussCoefficients,
                       w1_step: np.ndarray, w3_step: float, tau: float) -> np.ndarray:
@@ -392,7 +416,7 @@ class System:
                + self.quad.pair(coef.nutrient(0.0, w3_step)))
         if p.beta > 0:
             rhs = rhs + (p.beta / tau) * (self.M @ sigma_prev)
-        sigma = splu(A.tocsc(), **SPLU_OPTIONS["spd"]).solve(rhs)
+        sigma = splu(A, **SPLU_OPTIONS["spd"]).solve(rhs)
         res = np.linalg.norm(A @ sigma - rhs)
         if not np.isfinite(res) or res > max(self.lin_rtol * max(np.linalg.norm(rhs), 1.0), 1e-13):
             raise SolverError(f"nutrient solve failed: residual {res:.3e}")
@@ -401,10 +425,14 @@ class System:
     # -- composition step ------------------------------------------------------
 
     def ch_jacobian(self, phi: np.ndarray, tau: float) -> sp.csc_matrix:
-        """Jacobian of the composition step residual at the given iterate."""
+        """Jacobian [[M/tau, K], [-(K + S), M]] of the composition step
+        residual at the given iterate, S = P^T diag(w psi1''(P phi)) P."""
         S = self.quad.reaction_matrix(self.nl.psi1_second(self.quad.P @ phi))
-        return sp.bmat([[self.M / tau, self.K],
-                        [-(self.K + S), self.M]], format="csc")
+        M, K = self.M.data, self.K.data
+        blocks = np.concatenate([M * (1.0 / tau), -(K + S), K, M])
+        n = 2 * self.grid.n_nodes
+        return sp.csc_matrix((blocks.take(self._ch_order), self._ch_indices, self._ch_indptr),
+                             shape=(n, n))
 
     def step_cahn_hilliard(self, phi_prev: np.ndarray, coef: con.GaussCoefficients,
                            sigma_new: np.ndarray, w2_step: float,

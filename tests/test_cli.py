@@ -133,8 +133,9 @@ OPTIMIZE_SMALL = dict(grid__nx=4, grid__ny=4, time__steps=4, time__T=0.25,
 
 
 def test_optimize_without_projection_formula(tmp_path):
-    # gamma1 = gamma4 = gamma5 = 0: no control has a projection formula
-    cfg = default_config(**OPTIMIZE_SMALL, cost__gamma1=0.0)
+    # gamma1 = gamma2 = gamma3 = 0: no control has a projection formula
+    cfg = default_config(**OPTIMIZE_SMALL, cost__gamma1=0.0, cost__gamma2=0.0,
+                         cost__gamma3=0.0)
     out = tmp_path / "out"
     run_experiment(cfg, out, seed=0)
     assert (out / "iterates.csv").exists()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tumoropt import fem
 from tumoropt.grid import GridConfigError, build_grid
+from tumoropt.state import SPLU_OPTIONS
 
+from conftest import coefficients_at, make_system, tumour_ic
 from oracles import dense_boundary_mass, dense_mass_stiffness
 
 
@@ -176,3 +179,59 @@ def test_stiffness_energy_second_order_refinement():
     errs = [abs(energy(n) - exact) for n in (8, 16, 32)]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     assert all(3.0 < r < 5.0 for r in ratios)
+
+
+# -- fixed-pattern assembly against the sparse-product formulas ---------------
+
+def _gauss_gradients(g):
+    """Nodal -> [d/dx; d/dy] per Gauss point, rows interleaved per point."""
+    _, dN_dxi, dN_deta = fem._shape_values()
+    gx = np.tile(dN_dxi * (2.0 / g.hx), (g.n_cells, 1)).ravel()
+    gy = np.tile(dN_deta * (2.0 / g.hy), (g.n_cells, 1)).ravel()
+    rows = np.repeat(2 * np.arange(4 * g.n_cells), 4)
+    cols = np.repeat(g.cells, 4, axis=0).ravel()
+    return sp.coo_matrix((np.concatenate([gx, gy]),
+                          (np.concatenate([rows, rows + 1]), np.concatenate([cols, cols]))),
+                         shape=(8 * g.n_cells, g.n_nodes)).tocsr()
+
+
+def _form(quad, coeff):
+    return quad.P.T @ sp.diags(quad.w * coeff) @ quad.P
+
+
+def _rel(A, B):
+    return abs(A - B).max() / abs(B).max()
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0])
+def test_pattern_assembly_matches_sparse_products(rng, beta):
+    sysd = make_system(5, 3, Lx=1.3, Ly=0.7, dirichlet="left,top", beta=beta)
+    g, quad, nl, p = sysd.grid, sysd.quad, sysd.nl, sysd.params
+    M_ref = _form(quad, np.ones(quad.nq))
+    Gs = _gauss_gradients(g)
+    K_ref = Gs.T @ sp.diags(np.repeat(quad.w, 2)) @ Gs
+    assert _rel(sysd.M, M_ref) <= 1e-14 and _rel(sysd.K, K_ref) <= 1e-14
+    assert (sysd.M != sysd.M.T).nnz == 0 and (sysd.K != sysd.K.T).nnz == 0
+
+    n = g.n_nodes
+    coeff = rng.standard_normal(quad.nq)
+    R = sp.csc_matrix((quad.reaction_matrix(coeff), quad.indices, quad.indptr),
+                      shape=(n, n))
+    assert _rel(R, _form(quad, coeff)) <= 1e-14
+
+    phi = tumour_ic(g, cx=0.6, cy=0.3, radius=0.25)
+    tau = 0.01
+    coef = coefficients_at(sysd, phi)
+    A_ref = K_ref + p.kappa * sysd.Mb + _form(quad, -coef.nutrient_dsigma)
+    if beta > 0:
+        A_ref = A_ref + (beta / tau) * M_ref
+    assert _rel(sysd.nutrient_operator(coef, tau), A_ref) <= 1e-14
+
+    S_ref = _form(quad, nl.psi1_second(quad.P @ phi))
+    J_ref = sp.bmat([[M_ref / tau, K_ref], [-(K_ref + S_ref), M_ref]], format="csc")
+    J = sysd.ch_jacobian(phi, tau)
+    assert _rel(J, J_ref) <= 1e-14
+
+    fills = [lu.L.nnz + lu.U.nnz for lu in (spla.splu(J, **SPLU_OPTIONS["ch"]),
+                                             spla.splu(J_ref, **SPLU_OPTIONS["ch"]))]
+    assert fills[0] == fills[1]

@@ -1,10 +1,14 @@
 import math
 import re
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tumoropt import io
 from tumoropt.config import (ConfigError, default_config, dumps, generate_field,
@@ -33,6 +37,59 @@ def test_fld_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(io.FieldFormatError):
         io.read_fld(path)
+    # a header announcing 2**60 values fails on the length, before reading
+    path.write_bytes(b"FLD1" + struct.pack("<III", 1, 1, 1) + b"x"
+                     + struct.pack("<Iq", 1, 2 ** 60))
+    with pytest.raises(io.FieldFormatError, match="truncated"):
+        io.read_fld(path)
+
+
+_EXTREME_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308 / 3,
+                                   1.7976931348623157e308, -1.7976931348623157e308,
+                                   math.nan])
+
+
+@st.composite
+def _containers(draw):
+    names = draw(st.lists(st.text(max_size=5), max_size=4, unique=True))
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+    elements = st.one_of(st.floats(width=64), _EXTREME_FLOATS)
+    return {name: draw(hnp.arrays(np.float64, shapes, elements=elements))
+            for name in names}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_containers())
+def test_fld_round_trip_bitwise_and_every_prefix_rejected(arrays):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.fld"
+        io.write_fld(path, arrays)
+        back = io.read_fld(path)
+        assert list(back) == list(arrays)
+        for name, arr in arrays.items():
+            assert back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes()
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(io.FieldFormatError, match=re.escape(str(path))):
+                io.read_fld(path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(io.FieldFormatError, match="trailing"):
+            io.read_fld(path)
+
+
+def test_truncated_checkpoint_names_the_file(tmp_path):
+    cfg = default_config(grid__nx=3, grid__ny=3, time__steps=4)
+    sysd = cfg.build_system()
+    phi0, sig0 = cfg.initial_fields(sysd)
+    traj = sysd.solve_state(cfg.initial_controls(sysd), phi0, sig0,
+                            cfg["time.T"], cfg["time.steps"], storage="disk",
+                            every=2, directory=tmp_path)
+    path = tmp_path / "snapshot_00002.fld"
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(io.FieldFormatError, match="snapshot_00002"):
+        traj.snapshot(3)
 
 
 def test_vtk_writer_structure(tmp_path):
@@ -117,6 +174,21 @@ def test_non_finite_or_non_positive_value_rejected(line):
 def test_degenerate_nutrient_cited():
     with pytest.raises(ConfigError, match="A1"):
         default_config(model__beta=0.0, model__B=0.0, model__kappa=0.0)
+
+
+def test_dosage_above_nutrient_band_cited():
+    # an antiangiogenic dosage above lambda_c * cap drives the nutrient above cap
+    with pytest.raises(ConfigError, match=r"control\.w3_max.*A5"):
+        default_config(control__w3_max=5.0)
+    with pytest.raises(ConfigError, match=r"control\.w3_max.*A5"):
+        default_config(model__lambda_c=0.5)
+    # the cap is max(sigma_c, sup |w1|), so a wider supply box admits more
+    default_config(control__w3_max=2.0, control__w1_max=2.0)
+
+
+def test_negative_dosage_cited():
+    with pytest.raises(ConfigError, match=r"control\.w3_min.*A5"):
+        default_config(control__w3_min=-1.0)
 
 
 def test_l1_without_l2_cited():

@@ -435,8 +435,27 @@ def test_dosage_optimality_rule_is_symmetric():
     assert sr["w3"].boundary[0] and sr["w2"].boundary[0]
 
 
-def test_projection_formula_needs_a_positive_weight_pair():
+def test_projection_formula_needs_a_positive_l2_weight():
     w = _toy_controls()
     grad = ReducedGradient(g1=np.zeros((2, 3)), g2=np.zeros(3), g3=np.zeros(3),
                            kp_integral=np.zeros(3), hr_integral=np.zeros(3))
-    assert projection_formula_check(grad, w, _toy_weights(gamma1=0.0)) == {}
+    weights = _toy_weights(alpha_Q=1.0, gamma1=0.0, gamma2=0.0, gamma3=0.0)
+    assert projection_formula_check(grad, w, weights) == {}
+
+
+def test_projection_formula_without_l1_weight():
+    # gamma4 = gamma5 = 0 < gamma2, gamma3: each dosage is clip(dual / l2)
+    weights = _toy_weights(gamma1=0.0, gamma2=0.5, gamma3=0.25)
+    kp = np.array([0.2, -0.1, 0.7])
+    hr = np.array([-0.05, 0.3, -0.1])
+    w = _toy_controls()
+    w.w2[:] = np.clip(kp / 0.5, 0.0, 1.0)
+    w.w3[:] = np.clip(-hr / 0.25, 0.0, 1.0)
+    grad = ReducedGradient(g1=np.zeros((2, 3)), g2=0.5 * w.w2 - kp,
+                           g3=0.25 * w.w3 + hr, kp_integral=kp, hr_integral=hr)
+    dev = projection_formula_check(grad, w, weights)
+    assert set(dev) == {"w2", "w3", "max"}
+    assert dev["max"] == 0.0
+    w.w3[1] -= 0.125
+    dev = projection_formula_check(grad, w, weights)
+    assert dev["w2"] == 0.0 and dev["w3"] == dev["max"] == 0.125

@@ -5,7 +5,8 @@ import pytest
 
 import tumoropt.state as state_mod
 from tumoropt.config import default_config, load_config
-from tumoropt.state import ControlBounds, PreconditionError, TimestepError
+from tumoropt.state import (ControlBounds, PreconditionError, StateSnapshot,
+                            TimestepError)
 
 from conftest import coefficients_at, interior_controls, make_system, tumour_ic
 
@@ -353,3 +354,27 @@ def test_checkpointed_trajectory_matches_memory(tmp_path, rng):
         assert np.allclose(disk.snapshot(n).sigma, mem.snapshot(n).sigma,
                            rtol=0, atol=1e-14)
     assert (tmp_path / "index.txt").exists()
+
+
+def test_advance_builds_only_the_factored_matrices(monkeypatch):
+    # the step assembles data arrays on fixed patterns: the only compressed
+    # matrices it builds are the nutrient operator and the composition
+    # Jacobian handed to splu
+    import scipy.sparse._compressed as compressed
+
+    cfg = default_config(grid__nx=6, grid__ny=6)
+    sysd = cfg.build_system()
+    phi0, sig0 = cfg.initial_fields(sysd)
+    u0 = sysd.solve_elasticity(phi0)
+    snap = StateSnapshot(phi=phi0, mu=sysd.chemical_potential(phi0, sig0, u0),
+                         sigma=sig0, u=u0, t=0.0)
+    built = []
+    init = compressed._cs_matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(compressed._cs_matrix, "__init__", counting)
+    sysd.advance(snap, cfg.initial_controls(sysd), 1, cfg["time.T"] / cfg["time.steps"])
+    assert len(built) <= 2, built
