@@ -16,23 +16,23 @@ from .fem import (ElasticityTensor, assemble_boundary_mass,
 from .grid import Grid, build_grid
 from .linearized import FrechetReport, LinearisedSnapshot, frechet_check, solve_linearised
 from .optimize import (ControlProblem, OptimizationReport, OptimizeOptions,
-                       optimize, projection_formula_check, prox_project,
+                       projection_formula_check, prox_project,
                        sparsity_report, stationarity_residual)
-from .state import (ControlBounds, ControlSpace, ControlTriple, Direction,
-                    StateSnapshot, StateTrajectory, System)
+from .state import (ControlBounds, ControlSpace, ControlTriple, StateSnapshot,
+                    StateTrajectory, System)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdjointSnapshot", "ControlBounds", "ControlProblem", "ControlSpace",
-    "ControlTriple", "CostWeights", "Direction", "DrugSchedule",
+    "ControlTriple", "CostWeights", "DrugSchedule",
     "ElasticityTensor", "FrechetReport", "Grid", "LinearisedSnapshot",
     "ModelParams", "Nonlinearities", "OptimizationReport", "OptimizeOptions",
     "ReducedGradient", "RunConfig", "StateSnapshot", "StateTrajectory",
     "System", "assemble_boundary_mass", "assemble_coupling_phi_to_strain",
     "assemble_elasticity", "assemble_mass", "assemble_stiffness",
     "build_grid", "default_config", "dumps", "eval_cost", "frechet_check",
-    "load_config", "optimize", "projection_formula_check", "prox_project",
+    "load_config", "projection_formula_check", "prox_project",
     "quadrature", "reduced_gradient", "solve_adjoint", "solve_linearised",
     "sparsity_report", "stationarity_residual",
 ]

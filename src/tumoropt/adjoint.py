@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .cost import CostWeights, running_cost_sources
-from .state import (SPLU_OPTIONS, ControlTriple, Direction, PreconditionError,
+from .state import (SPLU_OPTIONS, ControlTriple, PreconditionError,
                     SolverError, StateTrajectory, System)
 
 ADJOINT_MODES = ("transpose", "continuous")
@@ -55,8 +55,8 @@ class ReducedGradient:
     kp_integral: np.ndarray  # (N,)  int k(phi) p dx per step
     hr_integral: np.ndarray  # (N,)  int h(phi) r dx per step
 
-    def direction(self) -> Direction:
-        return Direction(self.g1, self.g2, self.g3)
+    def direction(self) -> ControlTriple:
+        return ControlTriple(self.g1, self.g2, self.g3)
 
 
 def _displacement_source(system: System, coef, sigma_gp, p, q, cost_load):
@@ -107,8 +107,6 @@ def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeigh
     tau = traj.tau
     snap = traj.snapshot(N)
     p_T = weights.alpha_Omega * (snap.phi - weights.phi_Omega)
-    if np.ndim(p_T) == 0 or p_T.size == 1:
-        p_T = np.full(system.grid.n_nodes, float(np.asarray(p_T).ravel()[0]))
     q_T = system._mass_lu.solve(system.K @ p_T)
     r_T = np.zeros(system.grid.n_nodes)
     if system.params.beta == 0:

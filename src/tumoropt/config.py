@@ -103,16 +103,9 @@ SCHEMA: dict[str, tuple] = {
     "solver.checkpoint_every": (int, 0),
     "opt.max_iterations": (int, 200),
     "opt.tol": (_float, 1e-8),
-    "opt.step0": (_float, 0.0),
-    "opt.armijo": (_float, 1e-4),
-    "opt.max_halvings": (int, 40),
-    "opt.gate": (int, 1),
     "experiment.name": (str, "forward"),
     "experiment.seed": (int, 0),
     "experiment.trials": (int, 1),
-    "experiment.directions": (int, 3),
-    "experiment.fd_eps": (_float, 1e-4),
-    "experiment.eps_values": (_floats, (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3)),
     "experiment.gamma4_values": (_floats, (0.01, 0.1, 1.0, 10.0, 100.0)),
     "experiment.vtk_every": (int, 0),
 }

@@ -114,6 +114,8 @@ class ModelParams:
         self.g_load = np.asarray(self.g_load, dtype=float)
         if self.bar_strain.shape != (3,) or self.misfit_strain.shape != (3,):
             raise ModelConfigError("strain tensors must be Voigt triples (xx, yy, xy)")
+        if self.g_load.shape != (2,):
+            raise ModelConfigError("the body load g_load must be a pair (gx, gy)")
 
     @property
     def nutrient_cap(self) -> float:
@@ -140,6 +142,11 @@ class Nonlinearities:
             raise ModelConfigError(f"unknown stress-response selector {self.g!r}")
         if self.weight_n not in ("ramp", "indicator", "constant"):
             raise ModelConfigError(f"unknown weight selector {self.weight_n!r}")
+        if len(self.region) != 4 or not (self.region[0] < self.region[1]
+                                         and self.region[2] < self.region[3]):
+            raise ModelConfigError(
+                f"weight region {tuple(self.region)!r} must be x0, x1, y0, y1 "
+                f"with x0 < x1 and y0 < y1")
 
     # potential ---------------------------------------------------------------
     # psi = (r^2 - 1)^2 / 4 = psi1 + psi2: convex psi1 = (r^4 + 1) / 4,

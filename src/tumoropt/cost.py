@@ -167,7 +167,7 @@ def directional_cost_derivative(system: System, traj: StateTrajectory,
                     + tensor_dot(d_stress, p.C.apply(quad.strain(lin.v))))
             total += weights.alpha_E * tau * quad.integrate(dens)
     dg = system.dgamma
-    total += weights.gamma1 * tau * float(np.einsum("bj,bj,b->", w.w1, direction.h1, dg))
-    total += weights.gamma2 * tau * float(w.w2 @ direction.h2)
-    total += weights.gamma3 * tau * float(w.w3 @ direction.h3)
+    total += weights.gamma1 * tau * float(np.einsum("bj,bj,b->", w.w1, direction.w1, dg))
+    total += weights.gamma2 * tau * float(w.w2 @ direction.w2)
+    total += weights.gamma3 * tau * float(w.w3 @ direction.w3)
     return total

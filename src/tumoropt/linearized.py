@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .fem import tensor_dot
-from .state import (SPLU_OPTIONS, ControlTriple, Direction, PreconditionError,
+from .state import (SPLU_OPTIONS, ControlTriple, PreconditionError,
                     StateTrajectory, System)
 
 
@@ -29,11 +29,11 @@ class LinearisedSnapshot:
 
 
 def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
-                     direction: Direction) -> list[LinearisedSnapshot]:
+                     direction: ControlTriple) -> list[LinearisedSnapshot]:
     """Propagate a control direction through the linearised dynamics."""
     grid = system.grid
     N = traj.n_steps
-    if w.n_steps != N or direction.h1.shape != (grid.n_boundary_nodes, N):
+    if w.n_steps != N or direction.w1.shape != (grid.n_boundary_nodes, N):
         raise PreconditionError("direction layout does not match the trajectory")
     tau = traj.tau
     p, nl, quad = system.params, system.nl, system.quad
@@ -53,9 +53,9 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
 
         # nutrient direction (implicit, same operator as the forward step)
         A = system.nutrient_operator(coef, tau)
-        rhs = (p.kappa * (system.Mb @ system.embed_boundary(direction.h1[:, j]))
+        rhs = (p.kappa * (system.Mb @ system.embed_boundary(direction.w1[:, j]))
                + quad.pair(coef.nutrient_dphi(sig_gp, w.w3[j]) * xi_gp
-                           + coef.nutrient_dw3 * direction.h3[j]))
+                           + coef.nutrient_dw3 * direction.w3[j]))
         if p.beta > 0:
             rhs = rhs + (p.beta / tau) * (system.M @ psi)
         psi_new = splu(A, **SPLU_OPTIONS["spd"]).solve(rhs)
@@ -65,7 +65,7 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
         dU = (coef.growth_dsigma * (quad.P @ psi_new)
               + coef.growth_dphi(sig_gp, w.w2[j]) * xi_gp
               + tensor_dot(coef.growth_dstress(sig_gp), p.C.apply(strain_v))
-              + coef.growth_dw2 * direction.h2[j])
+              + coef.growth_dw2 * direction.w2[j])
         dstress = p.C.apply(strain_v - xi_gp[:, None] * p.misfit_strain)
         rhs1 = (system.M @ xi) / tau + quad.pair(dU)
         rhs2 = (quad.pair(nl.psi2_second(coef.phi) * xi_gp)
@@ -128,7 +128,7 @@ def state_norm(system: System, diffs, tau: float, beta: float) -> float:
 
 def frechet_check(system: System, phi0: np.ndarray, sigma0: np.ndarray,
                   T: float, n_steps: int, w: ControlTriple,
-                  direction: Direction, eps_list) -> FrechetReport:
+                  direction: ControlTriple, eps_list) -> FrechetReport:
     """Measure the Taylor remainder of the control-to-state map.
 
     The direction is first scaled so that every ``w + eps h`` stays
@@ -160,13 +160,14 @@ def frechet_check(system: System, phi0: np.ndarray, sigma0: np.ndarray,
     return FrechetReport(eps=eps_list, remainders=remainders, slope=slope)
 
 
-def _shrink(w: ControlTriple, direction: Direction, eps_max: float) -> Direction:
+def _shrink(w: ControlTriple, direction: ControlTriple,
+            eps_max: float) -> ControlTriple:
     """Scale the direction so that w + eps h stays inside the box."""
     b = w.bounds
     scale = 1.0
-    for arr, h, lo, hi in ((w.w1, direction.h1, b.w1_lo, b.w1_hi),
-                           (w.w2, direction.h2, b.w2_lo, b.w2_hi),
-                           (w.w3, direction.h3, b.w3_lo, b.w3_hi)):
+    for arr, h, lo, hi in ((w.w1, direction.w1, b.w1_lo, b.w1_hi),
+                           (w.w2, direction.w2, b.w2_lo, b.w2_hi),
+                           (w.w3, direction.w3, b.w3_lo, b.w3_hi)):
         move = eps_max * np.abs(h)
         room_up = np.asarray(hi) - arr
         room_dn = arr - np.asarray(lo)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .adjoint import ReducedGradient, reduced_gradient, solve_adjoint
 from .cost import CostWeights, eval_cost
-from .state import (ControlSpace, ControlTriple, Direction,
-                    PreconditionError, SolverError, StateTrajectory, System)
+from .state import (ControlSpace, ControlTriple, PreconditionError,
+                    SolverError, StateTrajectory, System)
 
 
 # the finite-difference gradient gate: random directions, central-difference
@@ -25,6 +25,9 @@ from .state import (ControlSpace, ControlTriple, Direction,
 GATE_DIRECTIONS = 3
 GATE_EPS = 1e-4
 GATE_RTOL = 1e-6
+# the line search: sufficient-decrease factor and halvings before it stagnates
+ARMIJO = 1e-4
+MAX_HALVINGS = 40
 # a dosage at most ZERO_TOL in magnitude counts as zero; a dual quantity
 # within BOUNDARY_SLACK (relative) of its threshold is on the boundary of
 # the zero-set characterisation
@@ -75,10 +78,10 @@ def prox_project(w: ControlTriple, g, step: float,
     d = g.direction() if isinstance(g, ReducedGradient) else g
     b = w.bounds
     # "+ 0.0" normalises negative zeros produced by the shrinkage
-    w1 = np.clip(w.w1 - step * d.h1, b.w1_lo, b.w1_hi) + 0.0
+    w1 = np.clip(w.w1 - step * d.w1, b.w1_lo, b.w1_hi) + 0.0
     w2, w3 = (np.clip(_soft_threshold(dos.values - step * h, step * dos.l1),
                       dos.lo, dos.hi) + 0.0
-              for dos, h in zip(_dosages(w, weights, None), (d.h2, d.h3)))
+              for dos, h in zip(_dosages(w, weights, None), (d.w2, d.w3)))
     return ControlTriple(w1, w2, w3, b)
 
 
@@ -86,7 +89,7 @@ def stationarity_residual(space: ControlSpace, w: ControlTriple, g,
                           weights: CostWeights) -> float:
     """Norm of the unit-step prox fixed-point gap; zero iff stationary."""
     prox = prox_project(w, g, 1.0, weights)
-    return space.norm(Direction.between(w, prox))
+    return space.norm(w.axpy(-1.0, prox))
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +132,20 @@ class ControlProblem:
 
 
 def central_difference_checks(problem: ControlProblem, w: ControlTriple,
-                              grads: list[ReducedGradient], n_directions: int,
-                              eps: float, rng: np.random.Generator):
-    """Central differences of the smooth cost at ``w`` along ``n_directions``
-    random directions drawn from ``rng``, against each gradient of ``grads``.
+                              grads: list[ReducedGradient],
+                              rng: np.random.Generator):
+    """Central differences of the smooth cost at ``w`` with half-width
+    ``GATE_EPS`` along ``GATE_DIRECTIONS`` random directions drawn from
+    ``rng``, against each gradient of ``grads``.
 
     Returns one ``(fd, [(dj, relative_error) per gradient])`` per direction.
     """
     space = problem.space
     out = []
-    for _ in range(n_directions):
+    for _ in range(GATE_DIRECTIONS):
         h = space.random_direction(rng)
-        fd = (problem.smooth_cost(w.axpy(eps, h))
-              - problem.smooth_cost(w.axpy(-eps, h))) / (2 * eps)
+        fd = (problem.smooth_cost(w.axpy(GATE_EPS, h))
+              - problem.smooth_cost(w.axpy(-GATE_EPS, h))) / (2 * GATE_EPS)
         checks = []
         for grad in grads:
             dj = space.inner(grad.direction(), h)
@@ -154,8 +158,7 @@ def gradient_fd_gate(problem: ControlProblem, w: ControlTriple,
                      grad: ReducedGradient, rng: np.random.Generator) -> list[float]:
     """Compare the adjoint gradient against central differences of the
     smooth cost; raises GateError beyond ``GATE_RTOL``."""
-    checks = central_difference_checks(problem, w, [grad], GATE_DIRECTIONS,
-                                       GATE_EPS, rng)
+    checks = central_difference_checks(problem, w, [grad], rng)
     errors = [rel for _, [(_, rel)] in checks]
     worst = max(errors)
     if worst > GATE_RTOL:
@@ -200,9 +203,6 @@ class OptimizationReport:
 class OptimizeOptions:
     max_iterations: int = 200
     tol: float = 1e-8
-    step0: float | None = None
-    armijo: float = 1e-4
-    max_halvings: int = 40
     gate: bool = True
     seed: int = 0
 
@@ -229,7 +229,7 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
     if opts.gate:
         gradient_fd_gate(problem, w, grad, rng)
 
-    step0 = opts.step0 if opts.step0 is not None else _default_step(weights)
+    step0 = _default_step(weights)
     step_guess = step0
     history: list[IterateRecord] = []
     converged = False
@@ -251,25 +251,25 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
 
         step = step_guess
         accepted = False
-        for halvings in range(opts.max_halvings + 1):
+        for halvings in range(MAX_HALVINGS + 1):
             trial = prox_project(w, grad, step, weights)
-            move = space.norm(Direction.between(trial, w))
+            move = space.norm(trial.axpy(-1.0, w))
             if move == 0.0:
                 break
             (Jt, J1t, J2t), traj_t = problem.cost(trial)
-            if Jt <= J - (opts.armijo / step) * move ** 2:
+            if Jt <= J - (ARMIJO / step) * move ** 2:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             stagnated = True
-            message = (f"line search stagnated after {opts.max_halvings} "
+            message = (f"line search stagnated after {MAX_HALVINGS} "
                        f"halvings at iteration {it}")
             break
 
         grad_new = problem.gradient(trial, traj_t)
-        ds = Direction.between(trial, w)
-        dy = Direction.between(grad_new.direction(), grad.direction())
+        ds = trial.axpy(-1.0, w)
+        dy = grad_new.direction().axpy(-1.0, grad.direction())
         sy = space.inner(ds, dy)
         ss = space.inner(ds, ds)
         step_guess = min(max(ss / sy, 1e-6 * step0), 1e6 * step0) if sy > 0 \

@@ -83,6 +83,8 @@ class ControlTriple:
 
     ``w1`` has shape (n_boundary_nodes, n_steps); ``w2`` and ``w3`` are per
     step scalars of shape (n_steps,), spatially constant by construction.
+    A control, a direction and the L2 representative of a gradient are all
+    ControlTriples; ``bounds`` is unused for directions.
     """
     w1: np.ndarray
     w2: np.ndarray
@@ -108,26 +110,13 @@ class ControlTriple:
                     and (self.w2 >= b.w2_lo - tol).all() and (self.w2 <= b.w2_hi + tol).all()
                     and (self.w3 >= b.w3_lo - tol).all() and (self.w3 <= b.w3_hi + tol).all())
 
-    def axpy(self, s: float, d: "Direction") -> "ControlTriple":
-        return ControlTriple(self.w1 + s * d.h1, self.w2 + s * d.h2,
-                             self.w3 + s * d.h3, self.bounds)
+    def axpy(self, s: float, d: "ControlTriple") -> "ControlTriple":
+        """``self + s d``; ``a.axpy(-1.0, b)`` is bitwise ``a - b``."""
+        return ControlTriple(self.w1 + s * d.w1, self.w2 + s * d.w2,
+                             self.w3 + s * d.w3, self.bounds)
 
-
-@dataclass
-class Direction:
-    """A control-space direction (same layout as ControlTriple)."""
-    h1: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
-
-    def scaled(self, s: float) -> "Direction":
-        return Direction(s * self.h1, s * self.h2, s * self.h3)
-
-    @classmethod
-    def between(cls, a, b) -> "Direction":
-        a1, a2, a3 = _components(a)
-        b1, b2, b3 = _components(b)
-        return cls(a1 - b1, a2 - b2, a3 - b3)
+    def scaled(self, s: float) -> "ControlTriple":
+        return ControlTriple(s * self.w1, s * self.w2, s * self.w3, self.bounds)
 
 
 class ControlSpace:
@@ -145,25 +134,18 @@ class ControlSpace:
         self.tau = tau
         self.n_steps = n_steps
 
-    def inner(self, a, b) -> float:
-        a1, a2, a3 = _components(a)
-        b1, b2, b3 = _components(b)
-        s = float(np.einsum("bj,bj,b->", a1, b1, self.dgamma))
-        return self.tau * (s + float(a2 @ b2) + float(a3 @ b3))
+    def inner(self, a: ControlTriple, b: ControlTriple) -> float:
+        s = float(np.einsum("bj,bj,b->", a.w1, b.w1, self.dgamma))
+        return self.tau * (s + float(a.w2 @ b.w2) + float(a.w3 @ b.w3))
 
-    def norm(self, a) -> float:
+    def norm(self, a: ControlTriple) -> float:
         return float(np.sqrt(max(self.inner(a, a), 0.0)))
 
-    def zero_direction(self) -> Direction:
+    def random_direction(self, rng: np.random.Generator) -> ControlTriple:
         nb = self.dgamma.size
-        return Direction(np.zeros((nb, self.n_steps)), np.zeros(self.n_steps),
-                         np.zeros(self.n_steps))
-
-    def random_direction(self, rng: np.random.Generator) -> Direction:
-        nb = self.dgamma.size
-        return Direction(rng.standard_normal((nb, self.n_steps)),
-                         rng.standard_normal(self.n_steps),
-                         rng.standard_normal(self.n_steps))
+        return ControlTriple(rng.standard_normal((nb, self.n_steps)),
+                             rng.standard_normal(self.n_steps),
+                             rng.standard_normal(self.n_steps))
 
     def random_admissible(self, rng: np.random.Generator,
                           bounds: ControlBounds) -> ControlTriple:
@@ -173,14 +155,6 @@ class ControlSpace:
         w2 = rng.uniform(size=n) * (np.asarray(bounds.w2_hi) - np.asarray(bounds.w2_lo)) + bounds.w2_lo
         w3 = rng.uniform(size=n) * (np.asarray(bounds.w3_hi) - np.asarray(bounds.w3_lo)) + bounds.w3_lo
         return ControlTriple(w1, w2, w3, bounds)
-
-
-def _components(a):
-    if isinstance(a, ControlTriple):
-        return a.w1, a.w2, a.w3
-    if isinstance(a, Direction):
-        return a.h1, a.h2, a.h3
-    return a  # already a triple of arrays
 
 
 # ---------------------------------------------------------------------------

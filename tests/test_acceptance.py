@@ -12,7 +12,7 @@ from tumoropt.cost import CostWeights, eval_cost
 from tumoropt.linearized import frechet_check, solve_linearised
 from tumoropt.optimize import (ControlProblem, OptimizeOptions, optimize,
                                projection_formula_check, sparsity_report)
-from tumoropt.state import ControlBounds, Direction
+from tumoropt.state import ControlBounds, ControlTriple
 
 from conftest import coefficients_at, interior_controls, make_system, tumour_ic
 from oracles import dense_ch_step, dense_linearised_step, dense_nutrient_step
@@ -140,7 +140,7 @@ def test_criterion_05_continuous_adjoint_fidelity():
         gc = reduced_gradient(
             system, traj, solve_adjoint(system, traj, w, weights, "continuous"),
             w, weights)
-        gaps.append(space.norm(Direction.between(gt.direction(), gc.direction()))
+        gaps.append(space.norm(gt.direction().axpy(-1.0, gc.direction()))
                     / space.norm(gt.direction()))
     ok = gaps[1] < gaps[0] and gaps[2] < gaps[1]
     _report(5, "continuous-adjoint fidelity", ok,
@@ -262,13 +262,13 @@ def test_criterion_10_oracle_equivalence():
     N, T = 2, 2 * tau
     w = interior_controls(system, N)
     traj = system.solve_state(w, phi0, sig0, T, N)
-    h = Direction(rng.standard_normal((grid.n_boundary_nodes, N)),
-                  rng.standard_normal(N), rng.standard_normal(N))
+    h = ControlTriple(rng.standard_normal((grid.n_boundary_nodes, N)),
+                      rng.standard_normal(N), rng.standard_normal(N))
     lin = solve_linearised(system, traj, w, h)
     psi_ref, xi_ref, eta_ref = dense_linearised_step(
         grid, system.params, system.nl, traj.snapshot(1), traj.snapshot(2),
         float(w.w2[1]), float(w.w3[1]), lin[1].xi, lin[1].psi,
-        h.h1[:, 1], float(h.h2[1]), float(h.h3[1]), tau)
+        h.w1[:, 1], float(h.w2[1]), float(h.w3[1]), tau)
     err_lin = float(max(np.abs(lin[2].psi - psi_ref).max(),
                         np.abs(lin[2].xi - xi_ref).max(),
                         np.abs(lin[2].eta - eta_ref).max()))

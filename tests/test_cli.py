@@ -1,18 +1,15 @@
 import dataclasses
-import importlib
 import json
 from pathlib import Path
 
 import numpy as np
 
+import tumoropt.optimize as optmod
 from tumoropt import experiments
 from tumoropt.cli import main
 from tumoropt.config import default_config, dumps, load_config
 from tumoropt.experiments import run_experiment
 from tumoropt.state import System
-
-# the package namespace binds ``optimize`` to the function
-optmod = importlib.import_module("tumoropt.optimize")
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -210,3 +207,16 @@ def test_gamma_sweep_gate_errors_independent_of_gamma4():
                                               problem.gradient(controls),
                                               np.random.default_rng(0)))
     assert errors[0] == errors[1]
+
+
+def test_package_attributes_are_its_layer_modules():
+    # a package-level re-export must not shadow a submodule of the same name
+    import importlib
+    import types
+
+    import tumoropt
+    for name in ("state", "fem", "constitutive", "linearized", "adjoint",
+                 "cost", "optimize", "experiments", "io", "config"):
+        importlib.import_module(f"tumoropt.{name}")
+        assert isinstance(getattr(tumoropt, name), types.ModuleType), name
+    assert [n for n in tumoropt.__all__ if not hasattr(tumoropt, n)] == []

@@ -131,20 +131,25 @@ _any_finite = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(step0=_any_finite, g_load=st.tuples(_any_finite, _any_finite))
-def test_finite_floats_survive_dumps_parse_bitwise(step0, g_load):
+@given(tol=_any_finite, g_load=st.tuples(_any_finite, _any_finite))
+def test_finite_floats_survive_dumps_parse_bitwise(tol, g_load):
     cfg = default_config()
-    cfg.values["opt.step0"] = step0
+    cfg.values["opt.tol"] = tol
     cfg.values["model.g_load"] = g_load
     again = parse_config(dumps(cfg))
-    for got, want in zip((again["opt.step0"], *again["model.g_load"]),
-                         (step0, *g_load)):
+    for got, want in zip((again["opt.tol"], *again["model.g_load"]),
+                         (tol, *g_load)):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def test_unknown_key_has_line_number():
-    with pytest.raises(ConfigError, match=":3"):
-        parse_config("# c\ngrid.nx = 4\nnope.key = 2\n")
+# all but the first are optimiser and diagnostic constants, once config keys
+@pytest.mark.parametrize("key", ["nope.key", "opt.step0", "opt.armijo",
+                                 "opt.max_halvings", "opt.gate",
+                                 "experiment.directions", "experiment.fd_eps",
+                                 "experiment.eps_values"])
+def test_unknown_key_has_line_number(key):
+    with pytest.raises(ConfigError, match=f":3: unknown key '{re.escape(key)}'"):
+        parse_config(f"# c\ngrid.nx = 4\n{key} = 2\n")
 
 
 def test_duplicate_key_rejected():
@@ -169,6 +174,21 @@ def test_non_finite_or_non_positive_value_rejected(line):
         assert "run.cfg:2:" in str(exc.value)
     with pytest.raises(ConfigError, match=re.escape(key)):
         default_config(**{key.replace(".", "__"): float(value)})
+
+
+@pytest.mark.parametrize("lines, name", [
+    pytest.param("model.g_load = 1,2,3", "g_load", id="g_load-three"),
+    pytest.param("model.g_load = 1.0", "g_load", id="g_load-one"),
+    pytest.param("model.weight_n = indicator\nmodel.weight_region = 0,1,0",
+                 "region", id="region-three"),
+    pytest.param("model.weight_region = 0.6,0.4,0,1", "region", id="region-x-inverted"),
+    pytest.param("model.weight_region = 0,1,0.5,0.5", "region", id="region-y-empty"),
+])
+def test_model_value_of_wrong_shape_rejected(lines, name):
+    # each parsed before and then failed in the solver, or ran with a
+    # value silently dropped or a stress weight n == 0
+    with pytest.raises(ConfigError, match=f"invalid model parameters: .*{name}"):
+        parse_config(lines + "\n")
 
 
 def test_degenerate_nutrient_cited():

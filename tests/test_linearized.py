@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tumoropt.linearized import frechet_check, solve_linearised
-from tumoropt.state import ControlBounds, Direction, PreconditionError
+from tumoropt.state import ControlBounds, ControlTriple, PreconditionError
 
 from conftest import interior_controls, make_system, tumour_ic
 
@@ -19,8 +19,7 @@ def _setup(nx=6, ny=6, N=6, T=0.5):
 
 def test_zero_direction_zero_solution():
     sysd, _, _, w, traj, T, N = _setup()
-    space = sysd.control_space(T, N)
-    lin = solve_linearised(sysd, traj, w, space.zero_direction())
+    lin = solve_linearised(sysd, traj, w, sysd.zero_controls(N))
     for s in lin:
         assert np.abs(s.xi).max() == 0.0
         assert np.abs(s.eta).max() == 0.0
@@ -37,7 +36,7 @@ def test_superposition_in_directions(rng):
         la = solve_linearised(sysd, traj, w, d1)
         lb = solve_linearised(sysd, traj, w, d2)
         lc = solve_linearised(sysd, traj, w,
-                              Direction(d1.h1 + d2.h1, d1.h2 + d2.h2, d1.h3 + d2.h3))
+                              ControlTriple(d1.w1 + d2.w1, d1.w2 + d2.w2, d1.w3 + d2.w3))
         scale = max(np.abs(lc[n].xi).max() for n in range(N + 1))
         err = max(np.abs(lc[n].xi - la[n].xi - lb[n].xi).max()
                   for n in range(N + 1))
@@ -56,8 +55,8 @@ def test_initial_conditions_of_direction():
 
 def test_layout_mismatch_rejected(rng):
     sysd, _, _, w, traj, T, N = _setup()
-    bad = Direction(rng.standard_normal((3, N)), rng.standard_normal(N),
-                    rng.standard_normal(N))
+    bad = ControlTriple(rng.standard_normal((3, N)), rng.standard_normal(N),
+                        rng.standard_normal(N))
     with pytest.raises(PreconditionError):
         solve_linearised(sysd, traj, w, bad)
 
@@ -95,8 +94,7 @@ def test_frechet_quadratic_slope(rng):
 
 def test_frechet_zero_direction_zero_remainder():
     sysd, phi0, sig0, w, _, T, N = _setup(nx=5, ny=5, N=3, T=0.2)
-    space = sysd.control_space(T, N)
-    rep = frechet_check(sysd, phi0, sig0, T, N, w, space.zero_direction(),
+    rep = frechet_check(sysd, phi0, sig0, T, N, w, sysd.zero_controls(N),
                         eps_list=[1e-1, 1e-2])
     assert np.abs(rep.remainders).max() == 0.0
 

@@ -12,7 +12,7 @@ from tumoropt.optimize import (ZERO_TOL, ControlProblem, GateError,
                                projection_formula_check, prox_project,
                                sparsity_report, stationarity_residual,
                                zero_intervals)
-from tumoropt.state import ControlBounds, ControlTriple, Direction
+from tumoropt.state import ControlBounds, ControlTriple
 
 from conftest import interior_controls, make_system, tumour_ic
 from oracles import gauss_points, interp, strain_at
@@ -137,7 +137,7 @@ def _toy_weights(**kw):
 def test_prox_clamps_below_lower_bound():
     w = _toy_controls()
     w.w2[:] = 0.1
-    g = Direction(np.zeros_like(w.w1), np.full(3, 0.6), np.zeros(3))
+    g = ControlTriple(np.zeros_like(w.w1), np.full(3, 0.6), np.zeros(3))
     out = prox_project(w, g, 1.0, _toy_weights())
     assert (out.w2 == 0.0).all()   # 0.1 - 0.6 clamps to the lower bound
 
@@ -145,7 +145,7 @@ def test_prox_clamps_below_lower_bound():
 def test_prox_plain_gradient_step_inside_box():
     w = _toy_controls()
     w.w2[:] = 0.5
-    g = Direction(np.zeros_like(w.w1), np.full(3, 0.25), np.zeros(3))
+    g = ControlTriple(np.zeros_like(w.w1), np.full(3, 0.25), np.zeros(3))
     out = prox_project(w, g, 1.0, _toy_weights())
     assert np.allclose(out.w2, 0.25)
 
@@ -153,7 +153,7 @@ def test_prox_plain_gradient_step_inside_box():
 def test_prox_soft_threshold_composite():
     w = _toy_controls(bounds=ControlBounds(w2_lo=0.0, w2_hi=1.0))
     w.w2[:] = np.array([0.5, 0.02, 0.0])
-    g = Direction(np.zeros_like(w.w1), np.zeros(3), np.zeros(3))
+    g = ControlTriple(np.zeros_like(w.w1), np.zeros(3), np.zeros(3))
     out = prox_project(w, g, 1.0, _toy_weights(gamma4=0.1))
     # lower bound zero: the composite equals a clamp of w2 - step*gamma4
     assert np.allclose(out.w2, np.maximum(w.w2 - 0.1, 0.0))
@@ -162,20 +162,19 @@ def test_prox_soft_threshold_composite():
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
-@pytest.mark.parametrize("component, gradient, weight",
-                         [("w2", "h2", "gamma4"), ("w3", "h3", "gamma5")])
+@pytest.mark.parametrize("component, weight", [("w2", "gamma4"), ("w3", "gamma5")])
 @settings(max_examples=150, deadline=None)
 @given(w=_finite, g=_finite, step=st.floats(1e-3, 1e3), gamma=st.floats(0.0, 1e3),
        lo=st.floats(-10.0, 10.0), width=st.floats(0.0, 20.0))
-def test_prox_matches_brute_force_minimisation(component, gradient, weight,
+def test_prox_matches_brute_force_minimisation(component, weight,
                                                w, g, step, gamma, lo, width):
     # the dosage prox minimises (x - v)^2 / (2 step) + gamma |x| over [lo, hi]
     hi = lo + width
     bounds = ControlBounds(**{f"{component}_lo": lo, f"{component}_hi": hi})
     ctrl = _toy_controls(N=1, bounds=bounds)
-    grad = Direction(np.zeros_like(ctrl.w1), np.zeros(1), np.zeros(1))
+    grad = ControlTriple(np.zeros_like(ctrl.w1), np.zeros(1), np.zeros(1))
     getattr(ctrl, component)[:] = w
-    getattr(grad, gradient)[:] = g
+    getattr(grad, component)[:] = g
     out = getattr(prox_project(ctrl, grad, step, _toy_weights(**{weight: gamma})),
                   component)[0]
 
@@ -200,15 +199,15 @@ def test_hand_built_kkt_point_is_prox_fixed_point():
     w = _toy_controls(bounds=b)
     w.w2[:] = np.array([0.5, 0.0, wbar])
     g2 = np.array([-gamma4, 0.1, -0.5])   # KKT: -g2 in gamma4 * subdifferential
-    g = Direction(np.zeros_like(w.w1), g2, np.zeros(3))
+    g = ControlTriple(np.zeros_like(w.w1), g2, np.zeros(3))
     weights = _toy_weights(gamma4=gamma4)
     sysd = make_system(3, 3)
     space = sysd.control_space(1.0, 3)
     space = type(space)(sysd.grid, np.ones(2), space.tau, 3)  # toy metric
     assert stationarity_residual(space, w, g, weights) <= 1e-12
     # breaking any KKT case makes the residual positive
-    g_bad = Direction(np.zeros_like(w.w1), np.array([-gamma4, -0.5, -0.5]),
-                      np.zeros(3))
+    g_bad = ControlTriple(np.zeros_like(w.w1), np.array([-gamma4, -0.5, -0.5]),
+                          np.zeros(3))
     assert stationarity_residual(space, w, g_bad, weights) > 1e-3
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from tumoropt.linearized import solve_linearised
-from tumoropt.state import Direction
+from tumoropt.state import ControlTriple
 
 from conftest import coefficients_at, interior_controls, make_system, tumour_ic
 from oracles import (dense_ch_step, dense_linearised_step, dense_nutrient_step,
@@ -66,8 +66,8 @@ def test_linearised_step_matches_dense_monolithic_oracle(rng):
     w = interior_controls(sysd, N)
     traj = sysd.solve_state(w, phi0, sig0, T, N)
     nb = grid.n_boundary_nodes
-    h = Direction(rng.standard_normal((nb, N)), rng.standard_normal(N),
-                  rng.standard_normal(N))
+    h = ControlTriple(rng.standard_normal((nb, N)), rng.standard_normal(N),
+                      rng.standard_normal(N))
     lin = solve_linearised(sysd, traj, w, h)
 
     # replay the second step with the dense monolithic assembly, starting
@@ -76,7 +76,7 @@ def test_linearised_step_matches_dense_monolithic_oracle(rng):
     psi_ref, xi_ref, eta_ref = dense_linearised_step(
         grid, sysd.params, sysd.nl, traj.snapshot(1), traj.snapshot(2),
         float(w.w2[1]), float(w.w3[1]), lin[1].xi, lin[1].psi,
-        h.h1[:, 1], float(h.h2[1]), float(h.h3[1]), tau)
+        h.w1[:, 1], float(h.w2[1]), float(h.w3[1]), tau)
     assert np.abs(lin[2].psi - psi_ref).max() < 1e-8
     assert np.abs(lin[2].xi - xi_ref).max() < 1e-8
     assert np.abs(lin[2].eta - eta_ref).max() < 1e-8
