@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # noqa: F401 - unused; perfbench/tracing.py rebinds it
 
 from .cost import CostWeights, running_cost_sources
-from .state import (SPLU_OPTIONS, ControlTriple, PreconditionError,
-                    SolverError, StateTrajectory, System)
+from .state import (ControlTriple, PreconditionError, SolverError,
+                    StateTrajectory, System)
 
 ADJOINT_MODES = ("transpose", "continuous")
 
@@ -85,8 +85,7 @@ def _composition_multipliers(system: System, phi: np.ndarray, rhs1: np.ndarray,
                              tau: float) -> tuple[np.ndarray, np.ndarray]:
     """(p, q) from the transposed composition Jacobian at ``phi``."""
     nn = system.grid.n_nodes
-    lu = splu(system.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
-    sol = lu.solve(np.concatenate([rhs1, np.zeros(nn)]), trans="T")
+    sol = system.solve_ch(phi, tau, np.concatenate([rhs1, np.zeros(nn)]), "T")
     # the adjoint block is the Jacobian transpose conjugated by
     # diag(I, -I): solve J^T (x, y) = (rhs1, 0), then (p, q) = (x, -y)
     return sol[:nn], -sol[nn:]
@@ -94,11 +93,9 @@ def _composition_multipliers(system: System, phi: np.ndarray, rhs1: np.ndarray,
 
 def _nutrient_multiplier(system: System, coef, p, q, r_next, tau: float) -> np.ndarray:
     """Nutrient multiplier of a step whose lagged coefficients are ``coef``."""
-    quad, params = system.quad, system.params
-    rhs = quad.pair(coef.growth_dsigma * (quad.P @ p)) + params.chi * (system.M @ q)
-    if params.beta > 0:
-        rhs = rhs + (params.beta / tau) * (system.M @ r_next)
-    return splu(system.nutrient_operator(coef, tau), **SPLU_OPTIONS["spd"]).solve(rhs)
+    quad = system.quad
+    load = quad.pair(coef.growth_dsigma * (quad.P @ p)) + system.params.chi * (system.M @ q)
+    return system.solve_nutrient(coef, tau, load, r_next)
 
 
 def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeights,
@@ -107,12 +104,12 @@ def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeigh
     tau = traj.tau
     snap = traj.snapshot(N)
     p_T = weights.alpha_Omega * (snap.phi - weights.phi_Omega)
-    q_T = system._mass_lu.solve(system.K @ p_T)
+    q_T = system.solve_mass(system.K @ p_T)
     r_T = np.zeros(system.grid.n_nodes)
     if system.params.beta == 0:
         r_T = _nutrient_multiplier(system, coef, p_T, q_T, r_T, tau)
     _, cost_load = running_cost_sources(system, weights, snap, coef, N)
-    s_T = system.solve_elastic_free(_displacement_source(
+    s_T = system.solve_elastic(_displacement_source(
         system, coef, system.quad.P @ snap.sigma, p_T, q_T, cost_load))
     return AdjointSnapshot(p=p_T, q=q_T, r=r_T, s=s_T, t=N * tau)
 
@@ -145,12 +142,12 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
             snap = traj.snapshot(n)
             cost_phi, cost_load = running_cost_sources(system, weights, snap, coef, n)
             if n == N:
-                s = system.solve_elastic_free(cost_load)
+                s = system.solve_elastic(cost_load)
                 rhs1 = cost_phi + (weights.alpha_Omega / tau) * (
                     system.M @ (snap.phi - weights.phi_Omega))
             else:
                 sig_gp = quad.P @ traj.snapshot(n + 1).sigma
-                s = system.solve_elastic_free(_displacement_source(
+                s = system.solve_elastic(_displacement_source(
                     system, coef, sig_gp, nxt.p, nxt.q, cost_load))
                 rhs1 = cost_phi + _composition_rhs(system, coef, sig_gp, w.w2[n],
                                                    w.w3[n], nxt, tau)
@@ -167,7 +164,7 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
                     + _composition_rhs(system, coef, sig_gp, w.w2[j], w.w3[j], nxt, tau))
             p, q = _composition_multipliers(system, snap.phi, rhs1, tau)
             r = _nutrient_multiplier(system, coef, p, q, nxt.r, tau)
-            s = system.solve_elastic_free(_displacement_source(
+            s = system.solve_elastic(_displacement_source(
                 system, coef, sig_gp, p, q, cost_load))
 
         kp = -quad.integrate(coef.growth_dw2 * (quad.P @ p))

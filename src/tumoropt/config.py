@@ -99,7 +99,6 @@ SCHEMA: dict[str, tuple] = {
     "drug.lifetime": (_float, 0.2),
     "solver.newton_tol": (_float, 1e-12),
     "solver.newton_max_iter": (int, 50),
-    "solver.lin_rtol": (_float, 1e-10),
     "solver.checkpoint_every": (int, 0),
     "opt.max_iterations": (int, 200),
     "opt.tol": (_float, 1e-8),
@@ -169,8 +168,7 @@ class RunConfig:
         return System(self.build_grid(), self.build_params(),
                       self.build_nonlinearities(),
                       newton_tol=self["solver.newton_tol"],
-                      newton_max_iter=self["solver.newton_max_iter"],
-                      lin_rtol=self["solver.lin_rtol"])
+                      newton_max_iter=self["solver.newton_max_iter"])
 
     def drug_schedule(self) -> DrugSchedule:
         return DrugSchedule(dosage=self["drug.dosage"],
@@ -260,13 +258,15 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg["experiment.name"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg['experiment.name']!r}; "
                           f"expected one of {EXPERIMENTS}")
-    if cfg["solver.checkpoint_every"] < 0:
-        raise ConfigError("solver.checkpoint_every must be >= 0")
-    for key in ("solver.newton_tol", "solver.lin_rtol"):
+    for key in ("solver.newton_tol", "opt.tol"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    if cfg["solver.newton_max_iter"] < 1:
-        raise ConfigError("solver.newton_max_iter must be >= 1")
+    for key in ("solver.newton_max_iter", "opt.max_iterations", "experiment.trials"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    for key in ("solver.checkpoint_every", "experiment.vtk_every"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0")
     if not cfg["experiment.gamma4_values"]:
         raise ConfigError("experiment.gamma4_values must list at least one "
                           "cost.gamma4 weight (A7)")

@@ -106,7 +106,7 @@ def run_forward(cfg, outdir: Path, seed: int):
     # trial 0 reads its sigma range off the rows, so a disk-checkpointed
     # trajectory is walked once
     ranges = [(r[4], r[5]) for r in rows]
-    for trial in range(max(1, cfg["experiment.trials"])):
+    for trial in range(cfg["experiment.trials"]):
         if trial > 0:
             w = space.random_admissible(rng, controls.bounds)
             tr = system.solve_state(w, phi0, sigma0, T, N)

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # noqa: F401 - unused; perfbench/tracing.py rebinds it
 
 from .fem import tensor_dot
-from .state import (SPLU_OPTIONS, ControlTriple, PreconditionError,
-                    StateTrajectory, System)
+from .state import ControlTriple, PreconditionError, StateTrajectory, System
 
 
 @dataclass
@@ -52,13 +51,10 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
         xi_gp = quad.P @ xi
 
         # nutrient direction (implicit, same operator as the forward step)
-        A = system.nutrient_operator(coef, tau)
-        rhs = (p.kappa * (system.Mb @ system.embed_boundary(direction.w1[:, j]))
-               + quad.pair(coef.nutrient_dphi(sig_gp, w.w3[j]) * xi_gp
-                           + coef.nutrient_dw3 * direction.w3[j]))
-        if p.beta > 0:
-            rhs = rhs + (p.beta / tau) * (system.M @ psi)
-        psi_new = splu(A, **SPLU_OPTIONS["spd"]).solve(rhs)
+        load = (p.kappa * (system.Mb @ system.embed_boundary(direction.w1[:, j]))
+                + quad.pair(coef.nutrient_dphi(sig_gp, w.w3[j]) * xi_gp
+                            + coef.nutrient_dw3 * direction.w3[j]))
+        psi_new = system.solve_nutrient(coef, tau, load, psi)
 
         # composition direction: exact derivative of the Newton-converged step
         strain_v = quad.strain(out[-1].v)
@@ -71,13 +67,12 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
         rhs2 = (quad.pair(nl.psi2_second(coef.phi) * xi_gp)
                 - p.chi * (system.M @ psi_new)
                 - quad.pair(tensor_dot(dstress, p.misfit_strain)))
-        J = system.ch_jacobian(cur.phi, tau)
-        sol = splu(J, **SPLU_OPTIONS["ch"]).solve(np.concatenate([rhs1, rhs2]))
+        sol = system.solve_ch(cur.phi, tau, np.concatenate([rhs1, rhs2]), "N")
         xi = sol[:nn]
         eta = sol[nn:]
         psi = psi_new
         out.append(LinearisedSnapshot(xi=xi, eta=eta, psi=psi,
-                                      v=system.solve_elastic_free(system.Bc @ xi),
+                                      v=system.solve_elastic(system.Bc @ xi),
                                       t=n * tau))
     return out
 

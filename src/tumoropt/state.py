@@ -38,8 +38,8 @@ class PreconditionError(ValueError):
 
 
 # SuperLU settings per operator kind: the one factorization policy of the
-# forward, linearised and adjoint sweeps.  Every factorization calls the
-# ``splu`` name of its own module, which perfbench/tracing.py rebinds.
+# forward, linearised and adjoint sweeps, all of which factor and solve
+# through ``System`` below.
 #
 # ``ch``: the nonsymmetric Cahn-Hilliard block Jacobian, ordered by minimum
 # degree on the pattern of A^T + A.
@@ -53,6 +53,9 @@ SPLU_OPTIONS = {
     "spd": dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True)),
 }
+
+# Relative residual tolerance of every nutrient and elasticity solve.
+LIN_RTOL = 1e-10
 
 # A composition Newton correction that leaves more than this fraction of the
 # residual norm makes the next correction refactor the Jacobian.
@@ -261,6 +264,12 @@ class StateTrajectory:
 # the discrete system
 # ---------------------------------------------------------------------------
 
+def _check_residual(what: str, A, x: np.ndarray, rhs: np.ndarray) -> None:
+    res = np.linalg.norm(A @ x - rhs)
+    if not np.isfinite(res) or res > max(LIN_RTOL * max(np.linalg.norm(rhs), 1.0), 1e-13):
+        raise SolverError(f"{what} solve failed: residual {res:.3e}")
+
+
 def _block_pattern(quad: fem.Quadrature):
     """CSC index set of ``bmat([[A, B], [C, D]])`` for blocks on the nodal
     pattern, and the order that takes the concatenated block data
@@ -281,20 +290,18 @@ def _block_pattern(quad: fem.Quadrature):
 class System:
     """Spatial discretization bound to one parameter set.
 
-    Owns the assembled operators and the factorization of the (constant)
-    elasticity block; all step routines live here so the linearised and
-    adjoint sweeps can reuse the identical matrices.
+    Owns the assembled operators and the constant mass and elasticity
+    factors.  It alone builds, factors, solves with and checks the step
+    operators, for the forward, linearised and adjoint sweeps alike.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, nonlin: Nonlinearities,
-                 newton_tol: float = 1e-12, newton_max_iter: int = 50,
-                 lin_rtol: float = 1e-10):
+                 newton_tol: float = 1e-12, newton_max_iter: int = 50):
         self.grid = grid
         self.params = params
         self.nl = nonlin
         self.newton_tol = newton_tol
         self.newton_max_iter = newton_max_iter
-        self.lin_rtol = lin_rtol
 
         self.quad = fem.quadrature(grid)
         self.M = fem.assemble_mass(grid, self.quad)
@@ -343,24 +350,22 @@ class System:
         return ControlTriple(np.zeros((nb, n_steps)), np.zeros(n_steps),
                              np.zeros(n_steps), bounds or ControlBounds())
 
+    def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
+        return self._mass_lu.solve(rhs)
+
     # -- elasticity ----------------------------------------------------------
 
-    def solve_elastic_free(self, load: np.ndarray) -> np.ndarray:
-        """Solve the reduced elasticity system for an arbitrary load vector."""
+    def solve_elastic(self, load: np.ndarray) -> np.ndarray:
+        """Solve the reduced elasticity system for a load vector."""
+        rhs = load[self.free]
         u = np.zeros(2 * self.grid.n_nodes)
-        u[self.free] = self._elas_lu.solve(load[self.free])
+        u[self.free] = self._elas_lu.solve(rhs)
+        _check_residual("elasticity", self.A_red, u[self.free], rhs)
         return u
 
     def solve_elasticity(self, phi: np.ndarray) -> np.ndarray:
         """Displacement with (C(E(u) - Ebar - phi E*), E(eta)) = (g, eta)_GN."""
-        load = self.Bc @ phi + self.load_const
-        u = self.solve_elastic_free(load)
-        rhs = load[self.free]
-        res = np.linalg.norm(self.A_red @ u[self.free] - rhs)
-        scale = max(np.linalg.norm(rhs), 1e-300)
-        if not np.isfinite(res) or res > max(self.lin_rtol * scale, 1e-13):
-            raise SolverError(f"elasticity solve failed: residual {res:.3e}")
-        return u
+        return self.solve_elastic(self.Bc @ phi + self.load_const)
 
     # -- model coefficients ----------------------------------------------------
 
@@ -381,20 +386,23 @@ class System:
             data += (self.params.beta / tau) * self.M.data
         return sp.csc_matrix((data, quad.indices, quad.indptr), shape=self.M.shape)
 
+    def solve_nutrient(self, coef: con.GaussCoefficients, tau: float,
+                       load: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        """Solve with the nutrient operator; ``prev`` is the previous level's
+        field, entering the right-hand side as (beta/tau) M prev."""
+        if self.params.beta > 0:
+            load = load + (self.params.beta / tau) * (self.M @ prev)
+        A = self.nutrient_operator(coef, tau)
+        x = splu(A, **SPLU_OPTIONS["spd"]).solve(load)
+        _check_residual("nutrient", A, x, load)
+        return x
+
     def step_nutrient(self, sigma_prev: np.ndarray, coef: con.GaussCoefficients,
                       w1_step: np.ndarray, w3_step: float, tau: float) -> np.ndarray:
         """One implicit nutrient step with the coefficients of the previous state."""
-        p = self.params
-        A = self.nutrient_operator(coef, tau)
-        rhs = (p.kappa * (self.Mb @ self.embed_boundary(w1_step))
-               + self.quad.pair(coef.nutrient(0.0, w3_step)))
-        if p.beta > 0:
-            rhs = rhs + (p.beta / tau) * (self.M @ sigma_prev)
-        sigma = splu(A, **SPLU_OPTIONS["spd"]).solve(rhs)
-        res = np.linalg.norm(A @ sigma - rhs)
-        if not np.isfinite(res) or res > max(self.lin_rtol * max(np.linalg.norm(rhs), 1.0), 1e-13):
-            raise SolverError(f"nutrient solve failed: residual {res:.3e}")
-        return sigma
+        load = (self.params.kappa * (self.Mb @ self.embed_boundary(w1_step))
+                + self.quad.pair(coef.nutrient(0.0, w3_step)))
+        return self.solve_nutrient(coef, tau, load, sigma_prev)
 
     # -- composition step ------------------------------------------------------
 
@@ -407,6 +415,14 @@ class System:
         n = 2 * self.grid.n_nodes
         return sp.csc_matrix((blocks.take(self._ch_order), self._ch_indices, self._ch_indptr),
                              shape=(n, n))
+
+    def _ch_factor(self, phi: np.ndarray, tau: float):
+        return splu(self.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
+
+    def solve_ch(self, phi: np.ndarray, tau: float, rhs: np.ndarray,
+                 trans: str) -> np.ndarray:
+        """Solve with the composition Jacobian at ``phi``, or its transpose if ``trans="T"``."""
+        return self._ch_factor(phi, tau).solve(rhs, trans=trans)
 
     def step_cahn_hilliard(self, phi_prev: np.ndarray, coef: con.GaussCoefficients,
                            sigma_new: np.ndarray, w2_step: float,
@@ -424,8 +440,8 @@ class System:
                   - self.params.chi * (self.M @ sigma_new))
 
         phi = phi_prev.copy()
-        mu = self._mass_lu.solve(self.K @ phi + quad.pair(nl.psi1_prime(quad.P @ phi))
-                                 + lagged)
+        mu = self.solve_mass(self.K @ phi + quad.pair(nl.psi1_prime(quad.P @ phi))
+                             + lagged)
 
         def residual(phi, mu):
             r1 = self.M @ (phi - phi_prev) / tau + self.K @ mu - FU
@@ -446,7 +462,7 @@ class System:
                     f"composition Newton did not converge in {corrections} "
                     f"corrections (residual {norm:.3e}); reduce the timestep")
             if lu is None:
-                lu = splu(self.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
+                lu = self._ch_factor(phi, tau)
             delta = lu.solve(-res)
             phi += delta[:phi.size]
             mu += delta[phi.size:]
@@ -469,20 +485,24 @@ class System:
         rhs = (self.K @ phi + quad.pair(self.nl.psi_prime(phi_gp))
                - self.params.chi * (self.M @ sigma)
                + quad.pair(con.w_phi(self.params, phi_gp, quad.strain(u))))
-        return self._mass_lu.solve(rhs)
+        return self.solve_mass(rhs)
 
     def advance(self, snap: StateSnapshot, controls: ControlTriple, n: int,
                 tau: float) -> StateSnapshot:
-        """Advance snapshot n-1 to n using control column n-1."""
+        """Advance snapshot n-1 to n using control column n-1; a solver
+        failure is re-raised with the step and its time in front."""
         j = n - 1
-        coef = self.coefficients(snap)
-        sigma = self.step_nutrient(snap.sigma, coef, controls.w1[:, j],
-                                   float(controls.w3[j]), tau)
-        phi, mu = self.step_cahn_hilliard(snap.phi, coef, sigma,
-                                          float(controls.w2[j]), tau)
-        if not (np.isfinite(phi).all() and np.isfinite(sigma).all()):
-            raise SolverError(f"non-finite state at step {n}")
-        u = self.solve_elasticity(phi)
+        try:
+            coef = self.coefficients(snap)
+            sigma = self.step_nutrient(snap.sigma, coef, controls.w1[:, j],
+                                       float(controls.w3[j]), tau)
+            phi, mu = self.step_cahn_hilliard(snap.phi, coef, sigma,
+                                              float(controls.w2[j]), tau)
+            if not (np.isfinite(phi).all() and np.isfinite(sigma).all()):
+                raise SolverError("non-finite state")
+            u = self.solve_elasticity(phi)
+        except SolverError as exc:
+            raise type(exc)(f"step {n} (t = {n * tau:.6g}): {exc}") from exc
         return StateSnapshot(phi=phi, mu=mu, sigma=sigma, u=u, t=n * tau)
 
     def solve_state(self, controls: ControlTriple, phi0: np.ndarray,

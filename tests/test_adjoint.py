@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+import tumoropt.state as state_mod
 from tumoropt.adjoint import reduced_gradient, solve_adjoint
 from tumoropt.cost import CostWeights, directional_cost_derivative, eval_cost
 from tumoropt.linearized import solve_linearised
-from tumoropt.state import SPLU_OPTIONS, PreconditionError
+from tumoropt.state import PreconditionError, SolverError
 
 from conftest import interior_controls, make_system, tumour_ic
 
@@ -67,11 +68,58 @@ def test_terminal_condition_exact():
 def test_transpose_solve_matches_factored_transpose(rng):
     # the adjoint solves with J^T through the factor of J (trans="T")
     sysd, _, _, _, traj, _, _ = _setup(nx=12, ny=12)
-    J = sysd.ch_jacobian(traj.final().phi, traj.tau)
+    phi = traj.final().phi
+    J = sysd.ch_jacobian(phi, traj.tau)
     b = rng.standard_normal(J.shape[0])
-    x = splu(J, **SPLU_OPTIONS["ch"]).solve(b, trans="T")
+    x = sysd.solve_ch(phi, traj.tau, b, "T")
     ref = splu(J.T.tocsc()).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _three_step_forward(sysd, N=3, T=0.3):
+    w = interior_controls(sysd, N)
+    traj = sysd.solve_state(w, tumour_ic(sysd.grid), np.full(sysd.grid.n_nodes, 1.0), T, N)
+    return w, traj, sysd.control_space(T, N)
+
+
+def test_every_sweep_factors_through_the_system(monkeypatch, rng):
+    # the forward, linearised and adjoint sweeps build and factor their step
+    # operators in state.py only, one CH and one nutrient factor per level
+    sysd = make_system(4, 4, chi=0.1)  # beta > 0
+    nn = sysd.grid.n_nodes
+    sizes = []
+    orig = state_mod.splu
+
+    def counting(A, **kwargs):
+        sizes.append(A.shape[0])
+        return orig(A, **kwargs)
+
+    monkeypatch.setattr(state_mod, "splu", counting)
+    w, traj, space = _three_step_forward(sysd)
+    solve_linearised(sysd, traj, w, space.random_direction(rng))
+    solve_adjoint(sysd, traj, w, _weights(sysd.grid), "transpose")
+    assert (sizes.count(2 * nn), sizes.count(nn)) == (9, 9)
+
+
+def test_sweep_nutrient_solves_are_checked(monkeypatch, rng):
+    # a factor whose solutions are off by a relative 1e-6 fails the residual
+    # check in the linearised and adjoint sweeps, not only in the forward
+    sysd = make_system(4, 4, chi=0.1)
+    w, traj, space = _three_step_forward(sysd)
+    orig = state_mod.splu
+
+    class Off:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b, trans="N"):
+            return self.lu.solve(b, trans=trans) * (1 + 1e-6)
+
+    monkeypatch.setattr(state_mod, "splu", lambda A, **kw: Off(orig(A, **kw)))
+    with pytest.raises(SolverError, match="nutrient solve failed"):
+        solve_linearised(sysd, traj, w, space.random_direction(rng))
+    with pytest.raises(SolverError, match="nutrient solve failed"):
+        solve_adjoint(sysd, traj, w, _weights(sysd.grid), "transpose")
 
 
 def test_duality_identity_transpose(rng):

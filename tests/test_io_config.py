@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tumoropt import io
-from tumoropt.config import (ConfigError, default_config, dumps, generate_field,
-                             load_config, parse_config)
+from tumoropt.config import (SCHEMA, ConfigError, default_config, dumps,
+                             generate_field, load_config, parse_config)
 from tumoropt.grid import build_grid
 
 
@@ -131,7 +131,8 @@ _any_finite = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(tol=_any_finite, g_load=st.tuples(_any_finite, _any_finite))
+@given(tol=_any_finite.filter(lambda v: v > 0),  # opt.tol must be positive
+       g_load=st.tuples(_any_finite, _any_finite))
 def test_finite_floats_survive_dumps_parse_bitwise(tol, g_load):
     cfg = default_config()
     cfg.values["opt.tol"] = tol
@@ -142,11 +143,12 @@ def test_finite_floats_survive_dumps_parse_bitwise(tol, g_load):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-# all but the first are optimiser and diagnostic constants, once config keys
+# all but the first are optimiser, diagnostic and solver constants, once
+# config keys
 @pytest.mark.parametrize("key", ["nope.key", "opt.step0", "opt.armijo",
                                  "opt.max_halvings", "opt.gate",
                                  "experiment.directions", "experiment.fd_eps",
-                                 "experiment.eps_values"])
+                                 "experiment.eps_values", "solver.lin_rtol"])
 def test_unknown_key_has_line_number(key):
     with pytest.raises(ConfigError, match=f":3: unknown key '{re.escape(key)}'"):
         parse_config(f"# c\ngrid.nx = 4\n{key} = 2\n")
@@ -165,15 +167,20 @@ def test_bad_value_reported():
 @pytest.mark.parametrize("line", ["cost.gamma4 = nan", "model.kappa = nan",
                                   "time.T = inf", "opt.tol = nan",
                                   "solver.newton_tol = -1",
-                                  "solver.newton_max_iter = 0"])
+                                  "solver.newton_max_iter = 0", "opt.tol = 0",
+                                  "opt.max_iterations = 0", "experiment.trials = 0",
+                                  "experiment.vtk_every = -1"])
 def test_non_finite_or_non_positive_value_rejected(line):
     key, _, value = line.partition(" = ")
     with pytest.raises(ConfigError, match=re.escape(key)) as exc:
         parse_config(f"grid.nx = 4\n{line}\n", source="run.cfg")
     if not math.isfinite(float(value)):
         assert "run.cfg:2:" in str(exc.value)
-    with pytest.raises(ConfigError, match=re.escape(key)):
-        default_config(**{key.replace(".", "__"): float(value)})
+    # an integer key takes an int override, so it meets the rule, not the parser
+    number = int(value) if SCHEMA[key][0] is int else float(value)
+    rule = "must be" if math.isfinite(number) else "not a finite number"
+    with pytest.raises(ConfigError, match=f"{re.escape(key)}.*{rule}"):
+        default_config(**{key.replace(".", "__"): number})
 
 
 @pytest.mark.parametrize("lines, name", [

@@ -5,8 +5,8 @@ import pytest
 
 import tumoropt.state as state_mod
 from tumoropt.config import default_config, load_config
-from tumoropt.state import (ControlBounds, PreconditionError, StateSnapshot,
-                            TimestepError)
+from tumoropt.state import (ControlBounds, PreconditionError, SolverError,
+                            StateSnapshot, TimestepError)
 
 from conftest import coefficients_at, interior_controls, make_system, tumour_ic
 
@@ -132,8 +132,8 @@ def test_ch_step_stiff_refactors_and_converges(monkeypatch):
             sysd.M @ (phi - phi0) / tau + sysd.K @ mu - FU,
             sysd.M @ mu - sysd.K @ phi - quad.pair(nl.psi1_prime(quad.P @ phi)) - lagged])
 
-    mu0 = sysd._mass_lu.solve(sysd.K @ phi0 + quad.pair(nl.psi1_prime(quad.P @ phi0))
-                              + lagged)
+    mu0 = sysd.solve_mass(sysd.K @ phi0 + quad.pair(nl.psi1_prime(quad.P @ phi0))
+                          + lagged)
     scale = max(np.linalg.norm(residual(phi0, mu0)), np.linalg.norm(FU), 1.0)
     assert np.linalg.norm(residual(phi, mu)) <= sysd.newton_tol * scale
 
@@ -264,6 +264,23 @@ def test_initial_nutrient_validated():
     bad = np.full(sysd.grid.n_nodes, sysd.params.nutrient_cap + 0.5)
     with pytest.raises(PreconditionError, match="A5"):
         sysd.solve_state(w, phi0, bad, 0.1, 2)
+
+
+def test_solver_failure_names_its_step():
+    sysd = make_system(4, 4, well_scale=50.0)
+    sysd.newton_max_iter = 2
+    nn = sysd.grid.n_nodes
+    with pytest.raises(TimestepError, match=r"^step 1 \(t = 50\): composition Newton"):
+        sysd.solve_state(sysd.zero_controls(2), tumour_ic(sysd.grid), np.ones(nn), 100.0, 2)
+
+
+def test_non_finite_state_names_its_step_once(monkeypatch):
+    sysd = make_system(4, 4)
+    nn = sysd.grid.n_nodes
+    monkeypatch.setattr(sysd, "step_cahn_hilliard",
+                        lambda *args: (np.full(nn, np.nan), np.zeros(nn)))
+    with pytest.raises(SolverError, match=r"^step 1 \(t = 0\.05\): non-finite state$"):
+        sysd.solve_state(sysd.zero_controls(2), np.zeros(nn), np.ones(nn), 0.1, 2)
 
 
 def test_energy_dissipation_lyapunov():
