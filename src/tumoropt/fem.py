@@ -286,23 +286,17 @@ def dirichlet_dof_mask(grid: Grid) -> np.ndarray:
 
 
 def assemble_elasticity(grid: Grid, C: ElasticityTensor,
-                        quad: Quadrature | None = None,
-                        reduce: bool = True):
+                        quad: Quadrature | None = None):
     """Elasticity stiffness (C E(u), E(eta)) over displacement dofs.
 
-    Returns ``(A, free)``: with ``reduce`` the pinned rows/columns are
-    eliminated symmetrically and ``A`` lives on the free dofs, otherwise the
-    full (singular) operator is returned.  ``free`` is the boolean mask of
-    retained dofs.
+    Returns ``(A, free)``: the full (singular) operator and the boolean mask
+    of the dofs that are not pinned; eliminating the pinned rows and columns
+    symmetrically leaves a positive definite block.
     """
     quad = quad or quadrature(grid)
     block = sp.kron(sp.diags(quad.w), C.form)
     A = (quad.G.T @ block @ quad.G).tocsr()
-    free = ~dirichlet_dof_mask(grid)
-    if not reduce:
-        return A, free
-    Ared = A[free][:, free].tocsc()
-    return Ared, free
+    return A, ~dirichlet_dof_mask(grid)
 
 
 def assemble_coupling_phi_to_strain(grid: Grid, C: ElasticityTensor,

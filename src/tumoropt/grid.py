@@ -14,6 +14,9 @@ import numpy as np
 
 SIDES = ("left", "right", "bottom", "top")
 
+# a block of at most this many nodes is not dissected further
+ND_LEAF = 4
+
 
 class GridConfigError(ValueError):
     """Raised for inconsistent grid / boundary-partition requests."""
@@ -121,3 +124,38 @@ def build_grid(nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0,
                 boundary_edges=boundary_edges, edge_sides=edge_sides,
                 edge_is_dirichlet=edge_is_dirichlet,
                 boundary_nodes=boundary_nodes, dirichlet_nodes=dirichlet_nodes)
+
+
+def nested_dissection(grid: Grid) -> np.ndarray:
+    """Geometric nested-dissection order of the nodes: position k holds node ``order[k]``.
+
+    A block of nodes is bisected by its middle grid line across the longer
+    side; the two halves come first, each ordered the same way, and the line
+    last.  Nodes couple only within a cell, so a grid line separates the
+    9-point stencil of every nodal operator, and eliminating in this order
+    fills only inside a half and its separators.  Blocks of at most
+    ``ND_LEAF`` nodes keep the lexicographic order.  Blocks of one shape are
+    ordered alike, so each shape is dissected once.
+    """
+    shapes: dict[tuple[int, int], np.ndarray] = {}
+
+    def offsets(w: int, h: int) -> np.ndarray:
+        """(2, w h) node offsets (i, j) of a w x h block, in order."""
+        if (w, h) not in shapes:
+            if w * h <= ND_LEAF:
+                ij = np.divmod(np.arange(w * h), w)[::-1]
+            elif w >= h:
+                m = w // 2
+                rest = offsets(w - m - 1, h) + [[m + 1], [0]]
+                line = [np.full(h, m), np.arange(h)]
+                ij = np.concatenate([offsets(m, h), rest, line], axis=1)
+            else:
+                m = h // 2
+                rest = offsets(w, h - m - 1) + [[0], [m + 1]]
+                line = [np.arange(w), np.full(w, m)]
+                ij = np.concatenate([offsets(w, m), rest, line], axis=1)
+            shapes[w, h] = np.asarray(ij)
+        return shapes[w, h]
+
+    i, j = offsets(grid.nx + 1, grid.ny + 1)
+    return i + j * (grid.nx + 1)

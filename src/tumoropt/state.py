@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 from . import constitutive as con
 from . import fem, io
 from .constitutive import ModelParams, Nonlinearities
-from .grid import Grid
+from .grid import Grid, nested_dissection
 
 
 class SolverError(RuntimeError):
@@ -39,18 +39,19 @@ class PreconditionError(ValueError):
 
 # SuperLU settings per operator kind: the one factorization policy of the
 # forward, linearised and adjoint sweeps, all of which factor and solve
-# through ``System`` below.
+# through ``System`` below.  Every factored matrix is handed over already in
+# the nested-dissection order of its grid (``grid.nested_dissection``), so
+# SuperLU keeps the natural column order.
 #
-# ``ch``: the nonsymmetric Cahn-Hilliard block Jacobian, ordered by minimum
-# degree on the pattern of A^T + A.
+# ``ch``: the nonsymmetric Cahn-Hilliard block Jacobian, with partial pivoting.
 # ``spd``: the nutrient operator K + kappa Mb + P^T diag(w (lambda_c h + B)) P
 # + (beta/tau) M, the mass matrix and the reduced elasticity block.  They are
 # symmetric positive definite (A1 keeps every nutrient term non-negative and
 # one of them definite; C is positive definite and the pinned edge removes
 # the rigid motions), so diagonal pivots in a symmetric ordering are stable.
 SPLU_OPTIONS = {
-    "ch": dict(permc_spec="MMD_AT_PLUS_A"),
-    "spd": dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    "ch": dict(permc_spec="NATURAL"),
+    "spd": dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True)),
 }
 
@@ -270,18 +271,27 @@ def _check_residual(what: str, A, x: np.ndarray, rhs: np.ndarray) -> None:
         raise SolverError(f"{what} solve failed: residual {res:.3e}")
 
 
-def _block_pattern(quad: fem.Quadrature):
-    """CSC index set of ``bmat([[A, B], [C, D]])`` for blocks on the nodal
-    pattern, and the order that takes the concatenated block data
-    (A, C, B, D) to its CSC data: the blocks carry their data positions."""
-    n, nnz = quad.indptr.size - 1, quad.indices.size
+def _solve_permuted(lu, order: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
+    """Solve ``A x = rhs``, or ``A^T x = rhs`` if ``trans="T"``, with ``lu``
+    the factor of ``A[order][:, order]``.  Where ``order`` leaves out an
+    unknown, ``x`` is 0."""
+    x = np.zeros_like(rhs)
+    x[order] = lu.solve(rhs[order], trans=trans)
+    return x
 
-    def block(k):
-        positions = np.arange(k * nnz, (k + 1) * nnz, dtype=float)
-        return sp.csc_matrix((positions, quad.indices, quad.indptr), shape=(n, n))
 
-    layout = sp.bmat([[block(0), block(2)], [block(1), block(3)]], format="csc")
-    arrays = [a.astype(np.int32) for a in (layout.indptr, layout.indices, layout.data)]
+def _permuted_pattern(row: np.ndarray, col: np.ndarray, order: np.ndarray, n: int):
+    """CSC pattern of ``A[order][:, order]`` for an n x n matrix ``A`` with
+    entries at (``row``, ``col``), where ``order`` may leave out unknowns,
+    and ``take``, the index of the entry that each of its nonzeros holds."""
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    row, col = rank[row], rank[col]
+    kept = np.flatnonzero((col >= 0) & (row >= 0))
+    take = kept[np.argsort(col[kept] * order.size + row[kept])]
+    indptr = np.zeros(order.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col[take], minlength=order.size), out=indptr[1:])
+    arrays = indptr, row[take].astype(np.int32), take
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -293,6 +303,14 @@ class System:
     Owns the assembled operators and the constant mass and elasticity
     factors.  It alone builds, factors, solves with and checks the step
     operators, for the forward, linearised and adjoint sweeps alike.
+
+    ``M``, ``K`` and every vector are in the grid's node numbering.  The
+    matrices it factors are numbered in the nested-dissection order of the
+    grid, fixed here: row k of ``nutrient_operator`` is node
+    ``node_order[k]``, row k of ``ch_jacobian`` is unknown ``ch_order[k]`` of
+    (phi; mu), with phi and mu of a node adjacent, and row k of ``A_red`` is
+    displacement dof ``elastic_order[k]``, the free dofs with u_x and u_y of a
+    node adjacent.  Only vectors are permuted, in the solves.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, nonlin: Nonlinearities,
@@ -307,14 +325,30 @@ class System:
         self.M = fem.assemble_mass(grid, self.quad)
         self.K = fem.assemble_stiffness(grid, self.quad)
         self.Mb = fem.assemble_boundary_mass(grid, "gamma")
-        self._mass_lu = splu(self.M, **SPLU_OPTIONS["spd"])
         # the per-step operators are data arrays on the nodal pattern of M and
-        # K: the fixed nutrient part K + kappa Mb, and the block layout of the
-        # composition Jacobian
+        # K, such as the fixed nutrient part K + kappa Mb, taken into permuted
+        # patterns fixed here
         self._nutrient_fixed = self.K.data + params.kappa * self.quad.pattern_data(self.Mb)
-        self._ch_indptr, self._ch_indices, self._ch_order = _block_pattern(self.quad)
+        n = grid.n_nodes
+        order = self.node_order = nested_dissection(grid)
+        self.ch_order = np.stack([order, order + n], axis=1).ravel()
+        row, col = self.quad.indices, np.repeat(np.arange(n), np.diff(self.quad.indptr))
+        self._nd_indptr, self._nd_indices, self._nd_take = _permuted_pattern(
+            row, col, order, n)
+        # the entries of the Jacobian [[A, B], [C, D]] block by block, in the
+        # order (A, C, B, D) in which ch_jacobian concatenates their data
+        self._ch_indptr, self._ch_indices, self._ch_take = _permuted_pattern(
+            np.concatenate([row, row + n, row, row + n]),
+            np.concatenate([col, col, col + n, col + n]), self.ch_order, 2 * n)
+        self._mass_lu = splu(self._nodal_matrix(self.M.data), **SPLU_OPTIONS["spd"])
 
-        self.A_red, self.free = fem.assemble_elasticity(grid, params.C, self.quad)
+        A, free = fem.assemble_elasticity(grid, params.C, self.quad)
+        A = A.tocoo()
+        dofs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+        self.elastic_order = dofs[free[dofs]]
+        m = self.elastic_order.size
+        indptr, indices, take = _permuted_pattern(A.row, A.col, self.elastic_order, 2 * n)
+        self.A_red = sp.csc_matrix((A.data[take], indices, indptr), shape=(m, m))
         self._elas_lu = splu(self.A_red, **SPLU_OPTIONS["spd"])
         self.Bc = fem.assemble_coupling_phi_to_strain(grid, params.C,
                                                       params.misfit_strain, self.quad)
@@ -350,17 +384,22 @@ class System:
         return ControlTriple(np.zeros((nb, n_steps)), np.zeros(n_steps),
                              np.zeros(n_steps), bounds or ControlBounds())
 
+    def _nodal_matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The nodal matrix with pattern data ``data``, in the nested-dissection order."""
+        n = self.grid.n_nodes
+        return sp.csc_matrix((data.take(self._nd_take), self._nd_indices, self._nd_indptr),
+                             shape=(n, n))
+
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        return self._mass_lu.solve(rhs)
+        return _solve_permuted(self._mass_lu, self.node_order, rhs, "N")
 
     # -- elasticity ----------------------------------------------------------
 
     def solve_elastic(self, load: np.ndarray) -> np.ndarray:
         """Solve the reduced elasticity system for a load vector."""
-        rhs = load[self.free]
-        u = np.zeros(2 * self.grid.n_nodes)
-        u[self.free] = self._elas_lu.solve(rhs)
-        _check_residual("elasticity", self.A_red, u[self.free], rhs)
+        dofs = self.elastic_order
+        u = _solve_permuted(self._elas_lu, dofs, load, "N")
+        _check_residual("elasticity", self.A_red, u[dofs], load[dofs])
         return u
 
     def solve_elasticity(self, phi: np.ndarray) -> np.ndarray:
@@ -379,12 +418,12 @@ class System:
 
     def nutrient_operator(self, coef: con.GaussCoefficients,
                           tau: float) -> sp.csc_matrix:
-        """K + kappa Mb + P^T diag(w (lambda_c h + B)) P + (beta/tau) M."""
-        quad = self.quad
-        data = self._nutrient_fixed + quad.reaction_matrix(-coef.nutrient_dsigma)
+        """K + kappa Mb + P^T diag(w (lambda_c h + B)) P + (beta/tau) M, in
+        the nested-dissection order ``node_order``."""
+        data = self._nutrient_fixed + self.quad.reaction_matrix(-coef.nutrient_dsigma)
         if self.params.beta > 0:
             data += (self.params.beta / tau) * self.M.data
-        return sp.csc_matrix((data, quad.indices, quad.indptr), shape=self.M.shape)
+        return self._nodal_matrix(data)
 
     def solve_nutrient(self, coef: con.GaussCoefficients, tau: float,
                        load: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -393,8 +432,9 @@ class System:
         if self.params.beta > 0:
             load = load + (self.params.beta / tau) * (self.M @ prev)
         A = self.nutrient_operator(coef, tau)
-        x = splu(A, **SPLU_OPTIONS["spd"]).solve(load)
-        _check_residual("nutrient", A, x, load)
+        order = self.node_order
+        x = _solve_permuted(splu(A, **SPLU_OPTIONS["spd"]), order, load, "N")
+        _check_residual("nutrient", A, x[order], load[order])
         return x
 
     def step_nutrient(self, sigma_prev: np.ndarray, coef: con.GaussCoefficients,
@@ -408,12 +448,13 @@ class System:
 
     def ch_jacobian(self, phi: np.ndarray, tau: float) -> sp.csc_matrix:
         """Jacobian [[M/tau, K], [-(K + S), M]] of the composition step
-        residual at the given iterate, S = P^T diag(w psi1''(P phi)) P."""
+        residual at the given iterate, S = P^T diag(w psi1''(P phi)) P, in
+        the interleaved nested-dissection order ``ch_order``."""
         S = self.quad.reaction_matrix(self.nl.psi1_second(self.quad.P @ phi))
         M, K = self.M.data, self.K.data
         blocks = np.concatenate([M * (1.0 / tau), -(K + S), K, M])
         n = 2 * self.grid.n_nodes
-        return sp.csc_matrix((blocks.take(self._ch_order), self._ch_indices, self._ch_indptr),
+        return sp.csc_matrix((blocks.take(self._ch_take), self._ch_indices, self._ch_indptr),
                              shape=(n, n))
 
     def _ch_factor(self, phi: np.ndarray, tau: float):
@@ -422,7 +463,7 @@ class System:
     def solve_ch(self, phi: np.ndarray, tau: float, rhs: np.ndarray,
                  trans: str) -> np.ndarray:
         """Solve with the composition Jacobian at ``phi``, or its transpose if ``trans="T"``."""
-        return self._ch_factor(phi, tau).solve(rhs, trans=trans)
+        return _solve_permuted(self._ch_factor(phi, tau), self.ch_order, rhs, trans)
 
     def step_cahn_hilliard(self, phi_prev: np.ndarray, coef: con.GaussCoefficients,
                            sigma_new: np.ndarray, w2_step: float,
@@ -463,7 +504,7 @@ class System:
                     f"corrections (residual {norm:.3e}); reduce the timestep")
             if lu is None:
                 lu = self._ch_factor(phi, tau)
-            delta = lu.solve(-res)
+            delta = _solve_permuted(lu, self.ch_order, -res, "N")
             phi += delta[:phi.size]
             mu += delta[phi.size:]
             res = residual(phi, mu)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tumoropt import fem
-from tumoropt.grid import GridConfigError, build_grid
+from tumoropt.grid import GridConfigError, build_grid, nested_dissection
 from tumoropt.state import SPLU_OPTIONS
 
 from conftest import coefficients_at, make_system, tumour_ic
@@ -107,7 +107,7 @@ def test_assembled_operators_symmetric(rng):
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
     ops = [fem.assemble_mass(g), fem.assemble_stiffness(g),
            fem.assemble_boundary_mass(g, "gamma"),
-           fem.assemble_elasticity(g, C, reduce=False)[0]]
+           fem.assemble_elasticity(g, C)[0]]
     for A in ops:
         n = A.shape[0]
         norm = spla.norm(A)
@@ -121,7 +121,7 @@ def test_assembled_operators_symmetric(rng):
 def test_elasticity_rigid_translation_zero():
     g = build_grid(3, 3, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
-    A, _ = fem.assemble_elasticity(g, C, reduce=False)
+    A, _ = fem.assemble_elasticity(g, C)
     for t in (np.tile([1.0, 0.0], g.n_nodes), np.tile([0.0, 1.0], g.n_nodes)):
         assert np.abs(A @ t).max() < 1e-12
 
@@ -129,7 +129,7 @@ def test_elasticity_rigid_translation_zero():
 def test_elasticity_shear_only_constant_zero():
     g = build_grid(3, 3, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(0.0, 0.5)
-    A, _ = fem.assemble_elasticity(g, C, reduce=False)
+    A, _ = fem.assemble_elasticity(g, C)
     t = np.tile([0.3, -0.7], g.n_nodes)
     assert np.abs(A @ t).max() < 1e-12
 
@@ -138,7 +138,7 @@ def test_discrete_korn_positive_spectrum():
     g = build_grid(4, 4, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
     A, free = fem.assemble_elasticity(g, C)
-    eigs = np.linalg.eigvalsh(A.toarray())
+    eigs = np.linalg.eigvalsh(A[free][:, free].toarray())
     assert eigs.min() > 0
 
 
@@ -179,6 +179,27 @@ def test_stiffness_energy_second_order_refinement():
     errs = [abs(energy(n) - exact) for n in (8, 16, 32)]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     assert all(3.0 < r < 5.0 for r in ratios)
+
+
+# -- nested-dissection order ------------------------------------------------------
+
+@pytest.mark.parametrize("nx,ny", [(5, 3), (4, 4), (1, 1), (1, 7), (9, 1), (32, 32)])
+def test_nested_dissection_is_a_permutation(nx, ny):
+    g = build_grid(nx, ny)
+    order = nested_dissection(g)
+    assert np.array_equal(np.sort(order), np.arange(g.n_nodes))
+
+
+def test_nested_dissection_orders_the_separator_last():
+    # 5 x 5 nodes: the middle column i = 2 splits the block, the middle row
+    # j = 2 each half; no node of a half couples with the other half
+    g = build_grid(4, 4)
+    order = nested_dissection(g)
+    nx1 = g.nx + 1
+    assert np.array_equal(order[-5:], 2 + nx1 * np.arange(5))
+    left, right = order[:10], order[10:20]
+    assert np.array_equal(order[8:10], [2 * nx1, 1 + 2 * nx1])
+    assert np.all(left % nx1 < 2) and np.all(right % nx1 > 2)
 
 
 # -- fixed-pattern assembly against the sparse-product formulas ---------------
@@ -225,10 +246,12 @@ def test_pattern_assembly_matches_sparse_products(rng, beta):
     A_ref = K_ref + p.kappa * sysd.Mb + _form(quad, -coef.nutrient_dsigma)
     if beta > 0:
         A_ref = A_ref + (beta / tau) * M_ref
-    assert _rel(sysd.nutrient_operator(coef, tau), A_ref) <= 1e-14
+    # the factored operators are numbered by the system's nested-dissection orders
+    o, q = sysd.node_order, sysd.ch_order
+    assert _rel(sysd.nutrient_operator(coef, tau), A_ref[o][:, o]) <= 1e-14
 
     S_ref = _form(quad, nl.psi1_second(quad.P @ phi))
-    J_ref = sp.bmat([[M_ref / tau, K_ref], [-(K_ref + S_ref), M_ref]], format="csc")
+    J_ref = sp.bmat([[M_ref / tau, K_ref], [-(K_ref + S_ref), M_ref]], format="csc")[q][:, q]
     J = sysd.ch_jacobian(phi, tau)
     assert _rel(J, J_ref) <= 1e-14
 

@@ -1,12 +1,15 @@
+import gc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import tumoropt.state as state_mod
+from tumoropt import fem
 from tumoropt.config import default_config, load_config
-from tumoropt.state import (ControlBounds, PreconditionError, SolverError,
-                            StateSnapshot, TimestepError)
+from tumoropt.state import (SPLU_OPTIONS, ControlBounds, PreconditionError,
+                            SolverError, StateSnapshot, TimestepError)
 
 from conftest import coefficients_at, interior_controls, make_system, tumour_ic
 
@@ -33,15 +36,16 @@ def test_elasticity_affine_superposition(small_system, rng):
 def test_elasticity_residual_tolerance(small_system, rng):
     phi = rng.standard_normal(small_system.grid.n_nodes)
     u = small_system.solve_elasticity(phi)
-    rhs = (small_system.Bc @ phi + small_system.load_const)[small_system.free]
-    res = np.linalg.norm(small_system.A_red @ u[small_system.free] - rhs)
+    dofs = small_system.elastic_order      # the free dofs in the row order of A_red
+    rhs = (small_system.Bc @ phi + small_system.load_const)[dofs]
+    res = np.linalg.norm(small_system.A_red @ u[dofs] - rhs)
     assert res <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
 
 def test_elasticity_dirichlet_rows_pinned(small_system, rng):
     phi = rng.standard_normal(small_system.grid.n_nodes)
     u = small_system.solve_elasticity(phi)
-    fixed = ~small_system.free
+    fixed = fem.dirichlet_dof_mask(small_system.grid)
     assert np.abs(u[fixed]).max() == 0.0
 
 
@@ -151,9 +155,9 @@ def test_newton_max_iter_bounds_corrections(monkeypatch):
         def __init__(self, lu):
             self.lu = lu
 
-        def solve(self, b):
+        def solve(self, b, trans="N"):
             solves.append(1)
-            return self.lu.solve(b)
+            return self.lu.solve(b, trans=trans)
 
     monkeypatch.setattr(state_mod, "splu", lambda A, **kw: CountingLU(orig(A, **kw)))
     phi_ref, _ = sysd.step_cahn_hilliard(*args)
@@ -395,3 +399,79 @@ def test_advance_builds_only_the_factored_matrices(monkeypatch):
     monkeypatch.setattr(compressed._cs_matrix, "__init__", counting)
     sysd.advance(snap, cfg.initial_controls(sysd), 1, cfg["time.T"] / cfg["time.steps"])
     assert len(built) <= 2, built
+
+
+# -- factor ordering ---------------------------------------------------------------
+
+def _natural(A, order):
+    """``A`` renumbered from ``order`` (row k is unknown ``order[k]``) to the natural order."""
+    back = np.argsort(order)
+    return A[back][:, back].tocsc()
+
+
+def _fill(A, **options):
+    lu = spla.splu(A, **options)
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_nested_dissection_fills_less_than_minimum_degree(n):
+    # both orders factor the same values: the operators' own values times a
+    # fixed random factor in [0.999, 1.001], so that no entry cancels to an
+    # exact zero in one order and not in the other
+    cfg = default_config(grid__nx=n, grid__ny=n)
+    sysd = cfg.build_system()
+    phi0, _ = cfg.initial_fields(sysd)
+    tau = 1.0 / 64
+    rng = np.random.default_rng(7)
+    cases = [("ch", sysd.ch_jacobian(phi0, tau), sysd.ch_order),
+             ("spd", sysd.nutrient_operator(coefficients_at(sysd, phi0), tau),
+              sysd.node_order)]
+    for kind, A, order in cases:
+        A.data *= rng.uniform(0.999, 1.001, A.nnz)
+        mmd = dict(SPLU_OPTIONS[kind], permc_spec="MMD_AT_PLUS_A")
+        assert _fill(A, **SPLU_OPTIONS[kind]) < _fill(_natural(A, order), **mmd), kind
+
+
+def test_solves_match_spsolve_on_the_natural_matrix(rng):
+    sysd = make_system(7, 5, Lx=1.2, dirichlet="left,top", chi=0.1)
+    nn, tau = sysd.grid.n_nodes, 0.05
+    phi = tumour_ic(sysd.grid, cx=0.4)
+    coef = coefficients_at(sysd, phi)
+
+    def close(x, ref):
+        return np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    A = _natural(sysd.nutrient_operator(coef, tau), sysd.node_order)
+    load, prev = rng.standard_normal(nn), rng.standard_normal(nn)
+    ref = spla.spsolve(A, load + (sysd.params.beta / tau) * (sysd.M @ prev))
+    assert close(sysd.solve_nutrient(coef, tau, load, prev), ref)
+
+    J = _natural(sysd.ch_jacobian(phi, tau), sysd.ch_order)
+    b = rng.standard_normal(2 * nn)
+    assert close(sysd.solve_ch(phi, tau, b, "N"), spla.spsolve(J, b))
+    assert close(sysd.solve_ch(phi, tau, b, "T"), spla.spsolve(J.T.tocsc(), b))
+    assert close(sysd.solve_mass(load), spla.spsolve(sysd.M, load))
+
+
+def test_solve_state_leaves_no_factor_in_a_reference_cycle():
+    # a factor kept alive by a reference cycle would stay in memory until the
+    # cyclic collector runs; SuperLU objects are not tracked by the collector,
+    # so look for them among the referents of the unreachable objects
+    cfg = default_config(grid__nx=6, grid__ny=6, time__steps=5)
+    sysd = cfg.build_system()
+    phi0, sig0 = cfg.initial_fields(sysd)
+    controls = cfg.initial_controls(sysd)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sysd.solve_state(controls, phi0, sig0, cfg["time.T"], cfg["time.steps"])
+        gc.collect()
+        held = [r for obj in gc.garbage for r in gc.get_referents(obj)
+                if isinstance(r, spla.SuperLU)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not held
