@@ -97,8 +97,6 @@ SCHEMA: dict[str, tuple] = {
     "drug.dosage": (_float, 0.5),
     "drug.times": (_floats, (0.0, 0.35, 0.7)),
     "drug.lifetime": (_float, 0.2),
-    "solver.newton_tol": (_float, 1e-12),
-    "solver.newton_max_iter": (int, 50),
     "solver.checkpoint_every": (int, 0),
     "opt.max_iterations": (int, 200),
     "opt.tol": (_float, 1e-8),
@@ -127,15 +125,10 @@ class RunConfig:
                           self["grid.Ly"], self["grid.dirichlet"])
 
     def build_bounds(self) -> ControlBounds:
-        b = ControlBounds(
+        return ControlBounds(
             w1_lo=self["control.w1_min"], w1_hi=self["control.w1_max"],
             w2_lo=self["control.w2_min"], w2_hi=self["control.w2_max"],
             w3_lo=self["control.w3_min"], w3_hi=self["control.w3_max"])
-        for name, lo, hi in (("w1", b.w1_lo, b.w1_hi), ("w2", b.w2_lo, b.w2_hi),
-                             ("w3", b.w3_lo, b.w3_hi)):
-            if np.any(np.asarray(lo) > np.asarray(hi)):
-                raise ConfigError(f"control bounds for {name} are empty (min > max)")
-        return b
 
     def build_elasticity(self) -> ElasticityTensor:
         kind = self["model.elasticity"]
@@ -166,9 +159,7 @@ class RunConfig:
 
     def build_system(self) -> System:
         return System(self.build_grid(), self.build_params(),
-                      self.build_nonlinearities(),
-                      newton_tol=self["solver.newton_tol"],
-                      newton_max_iter=self["solver.newton_max_iter"])
+                      self.build_nonlinearities())
 
     def drug_schedule(self) -> DrugSchedule:
         return DrugSchedule(dosage=self["drug.dosage"],
@@ -177,8 +168,14 @@ class RunConfig:
 
     def initial_fields(self, system: System) -> tuple[np.ndarray, np.ndarray]:
         grid = system.grid
-        phi0 = generate_field(self["ic.phi"], grid, self, allow_forward=False)
-        sigma0 = generate_field(self["ic.sigma"], grid, self, allow_forward=False)
+        fields = []
+        for key in ("ic.phi", "ic.sigma"):
+            field = generate_field(self[key], grid, self, allow_forward=False)
+            if field.shape != (grid.n_nodes,):
+                raise ConfigError(f"{key} = {self[key]}: an initial field needs one "
+                                  f"value per node, got shape {field.shape}")
+            fields.append(field)
+        phi0, sigma0 = fields
         # the nutrient start is clipped into its admissible band (A5)
         sigma0 = np.clip(sigma0, 0.0, system.params.nutrient_cap)
         return phi0, sigma0
@@ -258,10 +255,9 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg["experiment.name"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg['experiment.name']!r}; "
                           f"expected one of {EXPERIMENTS}")
-    for key in ("solver.newton_tol", "opt.tol"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
-    for key in ("solver.newton_max_iter", "opt.max_iterations", "experiment.trials"):
+    if cfg["opt.tol"] <= 0:
+        raise ConfigError("opt.tol must be positive")
+    for key in ("opt.max_iterations", "experiment.trials"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
     for key in ("solver.checkpoint_every", "experiment.vtk_every"):
@@ -279,10 +275,12 @@ def validate_config(cfg: RunConfig) -> None:
         cfg.build_bounds()
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
-    # the nutrient stays in [0, cap] only for dosages 0 <= w3 <= lambda_c cap
-    if cfg["control.w3_min"] < 0:
-        raise ConfigError(f"control.w3_min = {cfg['control.w3_min']!r} must be "
-                          f">= 0 to keep the nutrient non-negative (A5)")
+    # the nutrient stays in [0, cap] only for supplies w1 >= 0 and dosages
+    # 0 <= w3 <= lambda_c cap
+    for key in ("control.w1_min", "control.w3_min"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} = {cfg[key]!r} must be >= 0 to keep the "
+                              f"nutrient non-negative (A5)")
     w3_cap = params.lambda_c * params.nutrient_cap
     if cfg["control.w3_max"] > w3_cap:
         raise ConfigError(f"control.w3_max = {cfg['control.w3_max']!r} exceeds "

@@ -159,10 +159,6 @@ class Nonlinearities:
         r = np.asarray(r, dtype=float)
         return self.well_scale * (r * r - 1.0) * r
 
-    def psi_second(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.well_scale * (3.0 * r * r - 1.0)
-
     def psi1_prime(self, r):
         r = np.asarray(r, dtype=float)
         return self.well_scale * (r * r * r)

@@ -242,13 +242,11 @@ def _nodal_matrix(quad: Quadrature, data: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data, quad.indices, quad.indptr), shape=(n, n))
 
 
-def assemble_mass(grid: Grid, quad: Quadrature | None = None) -> sp.csc_matrix:
-    quad = quad or quadrature(grid)
+def assemble_mass(grid: Grid, quad: Quadrature) -> sp.csc_matrix:
     return _nodal_matrix(quad, quad._assemble(quad.w, _MASS_TABLE))
 
 
-def assemble_stiffness(grid: Grid, quad: Quadrature | None = None) -> sp.csc_matrix:
-    quad = quad or quadrature(grid)
+def assemble_stiffness(grid: Grid, quad: Quadrature) -> sp.csc_matrix:
     dN_dx, dN_dy = _shape_gradients(grid)
     table = _outer(dN_dx, dN_dx) + _outer(dN_dy, dN_dy)
     return _nodal_matrix(quad, quad._assemble(quad.w, table))
@@ -285,15 +283,13 @@ def dirichlet_dof_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def assemble_elasticity(grid: Grid, C: ElasticityTensor,
-                        quad: Quadrature | None = None):
+def assemble_elasticity(grid: Grid, C: ElasticityTensor, quad: Quadrature):
     """Elasticity stiffness (C E(u), E(eta)) over displacement dofs.
 
     Returns ``(A, free)``: the full (singular) operator and the boolean mask
     of the dofs that are not pinned; eliminating the pinned rows and columns
     symmetrically leaves a positive definite block.
     """
-    quad = quad or quadrature(grid)
     block = sp.kron(sp.diags(quad.w), C.form)
     A = (quad.G.T @ block @ quad.G).tocsr()
     return A, ~dirichlet_dof_mask(grid)
@@ -301,13 +297,12 @@ def assemble_elasticity(grid: Grid, C: ElasticityTensor,
 
 def assemble_coupling_phi_to_strain(grid: Grid, C: ElasticityTensor,
                                     misfit_voigt: np.ndarray,
-                                    quad: Quadrature | None = None) -> sp.csr_matrix:
+                                    quad: Quadrature) -> sp.csr_matrix:
     """Rectangular operator B with (B phi)_eta = (C(phi E*), E(eta)).
 
     Its transpose realises the pairing (C E* : E(v), zeta) used by the
     composition equation.
     """
-    quad = quad or quadrature(grid)
     stress = C.form @ np.asarray(misfit_voigt, dtype=float)   # includes Voigt weights
     col = sp.csr_matrix(stress.reshape(3, 1))
     return (quad.G.T @ sp.kron(sp.diags(quad.w), col) @ quad.P).tocsr()

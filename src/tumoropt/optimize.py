@@ -241,12 +241,15 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
     # relative stopping rule, floored so well-scaled problems read absolutely
     threshold = opts.tol * max(1.0, residual)
 
-    for it in range(1, opts.max_iterations + 1):
+    # the last pass only records the final iterate and tests it
+    for it in range(1, opts.max_iterations + 2):
         history.append(IterateRecord(it, J, J1, J2, last_step, residual,
                                      last_halvings))
         if residual <= threshold:
             converged = True
             message = f"stationarity residual {residual:.3e} <= {threshold:.1e}"
+            break
+        if it > opts.max_iterations:
             break
 
         step = step_guess
@@ -278,12 +281,6 @@ def optimize(problem: ControlProblem, w0: ControlTriple,
         J, J1, J2 = Jt, J1t, J2t
         last_step, last_halvings = step, halvings
         residual = stationarity_residual(space, w, grad, weights)
-    else:
-        history.append(IterateRecord(opts.max_iterations + 1, J, J1, J2,
-                                     last_step, residual, last_halvings))
-        if residual <= threshold:
-            converged = True
-            message = f"stationarity residual {residual:.3e} <= {threshold:.1e}"
 
     lam = {dos.name: _subgradient(dos) for dos in _dosages(w, weights, grad)
            if dos.l1 > 0}

@@ -58,6 +58,13 @@ SPLU_OPTIONS = {
 # Relative residual tolerance of every nutrient and elasticity solve.
 LIN_RTOL = 1e-10
 
+# A composition step has converged when its residual norm is at most
+# NEWTON_RTOL times its scale; it may take at most NEWTON_MAX_CORRECTIONS
+# Newton corrections.  The finite-difference gradient gate assumes this
+# tolerance: a looser one breaks the exact discrete gradient.
+NEWTON_RTOL = 1e-12
+NEWTON_MAX_CORRECTIONS = 50
+
 # A composition Newton correction that leaves more than this fraction of the
 # residual norm makes the next correction refactor the Jacobian.
 CHORD_CONTRACTION = 0.1
@@ -76,6 +83,12 @@ class ControlBounds:
     w2_hi: float | np.ndarray = 0.8
     w3_lo: float | np.ndarray = 0.0
     w3_hi: float | np.ndarray = 0.8
+
+    def __post_init__(self):
+        for name in ("w1", "w2", "w3"):
+            if np.any(np.asarray(getattr(self, name + "_lo"))
+                      > np.asarray(getattr(self, name + "_hi"))):
+                raise PreconditionError(f"control bounds for {name} are empty (min > max)")
 
     def sup_w1(self) -> float:
         return float(max(np.max(np.abs(self.w1_lo)), np.max(np.abs(self.w1_hi))))
@@ -220,9 +233,7 @@ class StateTrajectory:
             self._files[n] = path
             self._index_lines.append(f"{path.name},{snap.t!r}")
             (self.directory / "index.txt").write_text("\n".join(self._index_lines) + "\n")
-            self._mem.append(None)
-        else:
-            self._mem.append(None)
+        self._mem.append(None)
 
     def snapshot(self, n: int) -> StateSnapshot:
         if n < 0 or n >= len(self._mem):
@@ -251,8 +262,8 @@ class StateTrajectory:
                              t=float(arrays["time"].item()))
 
     def _regenerate(self, n0: int, n1: int) -> None:
-        self._segment = {n0: self._load(n0) if self._mem[n0] is None else self._mem[n0]}
-        snap = self._segment[n0]
+        snap = self._load(n0)
+        self._segment = {n0: snap}
         for n in range(n0 + 1, n1 + 1):
             snap = self.system.advance(snap, self.controls, n, self.tau)
             self._segment[n] = snap
@@ -313,13 +324,10 @@ class System:
     node adjacent.  Only vectors are permuted, in the solves.
     """
 
-    def __init__(self, grid: Grid, params: ModelParams, nonlin: Nonlinearities,
-                 newton_tol: float = 1e-12, newton_max_iter: int = 50):
+    def __init__(self, grid: Grid, params: ModelParams, nonlin: Nonlinearities):
         self.grid = grid
         self.params = params
         self.nl = nonlin
-        self.newton_tol = newton_tol
-        self.newton_max_iter = newton_max_iter
 
         self.quad = fem.quadrature(grid)
         self.M = fem.assemble_mass(grid, self.quad)
@@ -354,8 +362,8 @@ class System:
                                                       params.misfit_strain, self.quad)
         self.BcT = self.Bc.T
         bar_stress = np.tile(params.C.apply(params.bar_strain), (self.quad.nq, 1))
-        self.load_const = (self.quad.pair_stress(bar_stress)
-                           + fem.neumann_load(grid, params.g_load))
+        self.neumann_load = fem.neumann_load(grid, params.g_load)
+        self.load_const = self.quad.pair_stress(bar_stress) + self.neumann_load
         # E* : C E*, the composition curvature of the elastic energy
         self.misfit_curvature = float(fem.tensor_dot(
             params.C.apply(params.misfit_strain), params.misfit_strain))
@@ -497,8 +505,8 @@ class System:
         # refactored only at an iterate where a correction contracted too little
         lu = None
         corrections = 0
-        while not norm <= self.newton_tol * scale:  # NaN-safe
-            if corrections >= self.newton_max_iter:
+        while not norm <= NEWTON_RTOL * scale:  # NaN-safe
+            if corrections >= NEWTON_MAX_CORRECTIONS:
                 raise TimestepError(
                     f"composition Newton did not converge in {corrections} "
                     f"corrections (residual {norm:.3e}); reduce the timestep")
@@ -579,7 +587,7 @@ class System:
         gl = 0.5 * float(phi @ (self.K @ phi)) + quad.integrate(self.nl.psi_value(phi_gp))
         elastic = quad.integrate(con.elastic_energy_density(self.params, phi_gp,
                                                             quad.strain(u)))
-        work = float(fem.neumann_load(self.grid, self.params.g_load) @ u)
+        work = float(self.neumann_load @ u)
         return gl + elastic - work
 
     def integrate_nodal(self, field: np.ndarray) -> float:

@@ -32,19 +32,19 @@ def test_psi_double_well_minima(nl):
 
 def test_psi_origin_values(nl):
     assert nl.psi_prime(0.0) == 0.0
-    assert nl.psi_second(0.0) == -1.0
+    assert nl.psi1_second(0.0) + nl.psi2_second(0.0) == -1.0
 
 
 def test_psi_derivative_chain(nl, rng):
     for r in rng.uniform(-3, 3, size=100):
         assert abs(central(nl.psi_value, r) - nl.psi_prime(r)) < 1e-6 * max(1, abs(nl.psi_prime(r)))
-        assert abs(central(nl.psi_prime, r) - nl.psi_second(r)) < 1e-6 * max(1, abs(nl.psi_second(r)))
+        second = nl.psi1_second(r) + nl.psi2_second(r)
+        assert abs(central(nl.psi_prime, r) - second) < 1e-6 * max(1, abs(second))
 
 
 def test_psi_split_consistent_and_convex(nl):
     r = np.linspace(-3, 3, 121)
     assert np.allclose(nl.psi1_prime(r) + nl.psi2_prime(r), nl.psi_prime(r))
-    assert np.allclose(nl.psi1_second(r) + nl.psi2_second(r), nl.psi_second(r))
     assert (nl.psi1_second(r) >= 0).all()
 
 

@@ -48,20 +48,20 @@ def test_partition_covers_boundary():
 
 def test_mass_partition_of_unity():
     g = build_grid(5, 4, 2.0, 1.5, "left")
-    M = fem.assemble_mass(g)
+    M = fem.assemble_mass(g, fem.quadrature(g))
     assert abs(M.sum() - 2.0 * 1.5) < 1e-13
 
 
 def test_stiffness_annihilates_constants():
     g = build_grid(5, 4, 2.0, 1.5, "left")
-    K = fem.assemble_stiffness(g)
+    K = fem.assemble_stiffness(g, fem.quadrature(g))
     assert np.abs(K @ np.ones(g.n_nodes)).max() < 1e-13
 
 
 def test_stiffness_unit_cell_diagonal():
     # hand integration of bilinear shapes on the unit square gives 2/3
     g = build_grid(1, 1, 1.0, 1.0, "left")
-    K = fem.assemble_stiffness(g)
+    K = fem.assemble_stiffness(g, fem.quadrature(g))
     assert np.allclose(K.diagonal(), 2.0 / 3.0)
 
 
@@ -95,8 +95,9 @@ def test_boundary_mass_matches_dense_oracle():
 
 def test_mass_stiffness_match_dense_oracle():
     g = build_grid(3, 3, 1.1, 0.8, "left")
-    M = fem.assemble_mass(g).toarray()
-    K = fem.assemble_stiffness(g).toarray()
+    q = fem.quadrature(g)
+    M = fem.assemble_mass(g, q).toarray()
+    K = fem.assemble_stiffness(g, q).toarray()
     Md, Kd = dense_mass_stiffness(g)
     assert np.abs(M - Md).max() < 1e-13
     assert np.abs(K - Kd).max() < 1e-12
@@ -105,9 +106,9 @@ def test_mass_stiffness_match_dense_oracle():
 def test_assembled_operators_symmetric(rng):
     g = build_grid(4, 4, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
-    ops = [fem.assemble_mass(g), fem.assemble_stiffness(g),
-           fem.assemble_boundary_mass(g, "gamma"),
-           fem.assemble_elasticity(g, C)[0]]
+    q = fem.quadrature(g)
+    ops = [fem.assemble_mass(g, q), fem.assemble_stiffness(g, q),
+           fem.assemble_boundary_mass(g, "gamma"), fem.assemble_elasticity(g, C, q)[0]]
     for A in ops:
         n = A.shape[0]
         norm = spla.norm(A)
@@ -121,7 +122,7 @@ def test_assembled_operators_symmetric(rng):
 def test_elasticity_rigid_translation_zero():
     g = build_grid(3, 3, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
-    A, _ = fem.assemble_elasticity(g, C)
+    A, _ = fem.assemble_elasticity(g, C, fem.quadrature(g))
     for t in (np.tile([1.0, 0.0], g.n_nodes), np.tile([0.0, 1.0], g.n_nodes)):
         assert np.abs(A @ t).max() < 1e-12
 
@@ -129,7 +130,7 @@ def test_elasticity_rigid_translation_zero():
 def test_elasticity_shear_only_constant_zero():
     g = build_grid(3, 3, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(0.0, 0.5)
-    A, _ = fem.assemble_elasticity(g, C)
+    A, _ = fem.assemble_elasticity(g, C, fem.quadrature(g))
     t = np.tile([0.3, -0.7], g.n_nodes)
     assert np.abs(A @ t).max() < 1e-12
 
@@ -137,7 +138,7 @@ def test_elasticity_shear_only_constant_zero():
 def test_discrete_korn_positive_spectrum():
     g = build_grid(4, 4, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
-    A, free = fem.assemble_elasticity(g, C)
+    A, free = fem.assemble_elasticity(g, C, fem.quadrature(g))
     eigs = np.linalg.eigvalsh(A[free][:, free].toarray())
     assert eigs.min() > 0
 
@@ -151,16 +152,18 @@ def test_elasticity_rejects_indefinite_tensor():
 def test_coupling_zero_cases():
     g = build_grid(3, 3, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
-    B = fem.assemble_coupling_phi_to_strain(g, C, np.array([0.05, 0.05, 0.0]))
+    q = fem.quadrature(g)
+    B = fem.assemble_coupling_phi_to_strain(g, C, np.array([0.05, 0.05, 0.0]), q)
     assert np.abs(B @ np.zeros(g.n_nodes)).max() == 0.0
-    B0 = fem.assemble_coupling_phi_to_strain(g, C, np.zeros(3))
+    B0 = fem.assemble_coupling_phi_to_strain(g, C, np.zeros(3), q)
     assert B0.nnz == 0 or np.abs(B0.data).max() == 0.0
 
 
 def test_coupling_transpose_consistency(rng):
     g = build_grid(4, 3, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.2, 0.7)
-    B = fem.assemble_coupling_phi_to_strain(g, C, np.array([0.04, 0.02, 0.01]))
+    B = fem.assemble_coupling_phi_to_strain(g, C, np.array([0.04, 0.02, 0.01]),
+                                            fem.quadrature(g))
     for _ in range(5):
         phi = rng.standard_normal(g.n_nodes)
         v = rng.standard_normal(2 * g.n_nodes)
@@ -173,7 +176,7 @@ def test_stiffness_energy_second_order_refinement():
     def energy(n):
         g = build_grid(n, n, 1.0, 1.0, "left")
         f = np.sin(np.pi * g.nodes[:, 0]) * np.cos(np.pi * g.nodes[:, 1])
-        K = fem.assemble_stiffness(g)
+        K = fem.assemble_stiffness(g, fem.quadrature(g))
         return f @ (K @ f)
 
     errs = [abs(energy(n) - exact) for n in (8, 16, 32)]

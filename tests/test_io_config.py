@@ -148,7 +148,8 @@ def test_finite_floats_survive_dumps_parse_bitwise(tol, g_load):
 @pytest.mark.parametrize("key", ["nope.key", "opt.step0", "opt.armijo",
                                  "opt.max_halvings", "opt.gate",
                                  "experiment.directions", "experiment.fd_eps",
-                                 "experiment.eps_values", "solver.lin_rtol"])
+                                 "experiment.eps_values", "solver.lin_rtol",
+                                 "solver.newton_tol", "solver.newton_max_iter"])
 def test_unknown_key_has_line_number(key):
     with pytest.raises(ConfigError, match=f":3: unknown key '{re.escape(key)}'"):
         parse_config(f"# c\ngrid.nx = 4\n{key} = 2\n")
@@ -165,9 +166,7 @@ def test_bad_value_reported():
 
 
 @pytest.mark.parametrize("line", ["cost.gamma4 = nan", "model.kappa = nan",
-                                  "time.T = inf", "opt.tol = nan",
-                                  "solver.newton_tol = -1",
-                                  "solver.newton_max_iter = 0", "opt.tol = 0",
+                                  "time.T = inf", "opt.tol = nan", "opt.tol = 0",
                                   "opt.max_iterations = 0", "experiment.trials = 0",
                                   "experiment.vtk_every = -1"])
 def test_non_finite_or_non_positive_value_rejected(line):
@@ -216,6 +215,18 @@ def test_dosage_above_nutrient_band_cited():
 def test_negative_dosage_cited():
     with pytest.raises(ConfigError, match=r"control\.w3_min.*A5"):
         default_config(control__w3_min=-1.0)
+
+
+def test_negative_supply_cited():
+    # a negative boundary supply drives the nutrient below 0
+    with pytest.raises(ConfigError, match=r"control\.w1_min.*A5"):
+        default_config(control__w1_min=-1.0)
+
+
+@pytest.mark.parametrize("name", ["w1", "w2", "w3"])
+def test_empty_control_box_named(name):
+    with pytest.raises(ConfigError, match=f"control bounds for {name} are empty"):
+        default_config(**{f"control__{name}_min": 0.5, f"control__{name}_max": 0.25})
 
 
 def test_l1_without_l2_cited():
@@ -284,6 +295,17 @@ def test_file_target_grid_mismatch(tmp_path, rng):
     _write_target(p, g16, rng.standard_normal(g16.n_nodes))
     with pytest.raises(io.FieldFormatError, match="mismatch"):
         generate_field(f"file:{p}", g32)
+
+
+@pytest.mark.parametrize("key", ["ic.phi", "ic.sigma"])
+def test_multi_row_initial_field_rejected(tmp_path, key):
+    # it failed in the first solve with numpy's matmul dimension mismatch
+    p = tmp_path / "rows.fld"
+    cfg = default_config(grid__nx=4, grid__ny=4, **{key.replace(".", "__"): f"file:{p}"})
+    system = cfg.build_system()
+    _write_target(p, system.grid, np.zeros((2, system.grid.n_nodes)))
+    with pytest.raises(ConfigError, match=f"{re.escape(key)} = file:.*one value per node"):
+        cfg.initial_fields(system)
 
 
 def test_forward_final_target_matches_forward_run():

@@ -80,9 +80,9 @@ def test_ch_step_mass_conserved_without_sources():
     assert abs(m1 - m0) <= 1e-10 * max(1.0, abs(m0))
 
 
-def test_ch_step_newton_divergence_reported():
+def test_ch_step_newton_divergence_reported(monkeypatch):
     sysd = make_system(4, 4, well_scale=50.0)
-    sysd.newton_max_iter = 2
+    monkeypatch.setattr(state_mod, "NEWTON_MAX_CORRECTIONS", 2)
     grid = sysd.grid
     phi0 = tumour_ic(grid, width=0.08)
     with pytest.raises(TimestepError):
@@ -139,11 +139,11 @@ def test_ch_step_stiff_refactors_and_converges(monkeypatch):
     mu0 = sysd.solve_mass(sysd.K @ phi0 + quad.pair(nl.psi1_prime(quad.P @ phi0))
                           + lagged)
     scale = max(np.linalg.norm(residual(phi0, mu0)), np.linalg.norm(FU), 1.0)
-    assert np.linalg.norm(residual(phi, mu)) <= sysd.newton_tol * scale
+    assert np.linalg.norm(residual(phi, mu)) <= state_mod.NEWTON_RTOL * scale
 
 
 def test_newton_max_iter_bounds_corrections(monkeypatch):
-    # a step converging in exactly newton_max_iter corrections is accepted
+    # a step converging in exactly NEWTON_MAX_CORRECTIONS corrections is accepted
     sysd = make_system(4, 4, well_scale=50.0)
     grid = sysd.grid
     phi0 = tumour_ic(grid, width=0.08)
@@ -161,10 +161,11 @@ def test_newton_max_iter_bounds_corrections(monkeypatch):
 
     monkeypatch.setattr(state_mod, "splu", lambda A, **kw: CountingLU(orig(A, **kw)))
     phi_ref, _ = sysd.step_cahn_hilliard(*args)
-    sysd.newton_max_iter = len(solves)
+    corrections = len(solves)
+    monkeypatch.setattr(state_mod, "NEWTON_MAX_CORRECTIONS", corrections)
     phi, _ = sysd.step_cahn_hilliard(*args)
     assert np.array_equal(phi, phi_ref)
-    sysd.newton_max_iter -= 1
+    monkeypatch.setattr(state_mod, "NEWTON_MAX_CORRECTIONS", corrections - 1)
     with pytest.raises(TimestepError, match="corrections"):
         sysd.step_cahn_hilliard(*args)
 
@@ -246,6 +247,15 @@ def test_sigma_bounds_random_admissible_controls(rng):
         assert smin >= -1e-8 and smax <= cap + 1e-8
 
 
+@pytest.mark.parametrize("name", ["w1", "w2", "w3"])
+def test_empty_control_bounds_rejected(name):
+    # clipped() into an empty box gave controls that is_admissible() rejects
+    with pytest.raises(PreconditionError, match=f"bounds for {name} are empty"):
+        ControlBounds(**{f"{name}_lo": 1.0, f"{name}_hi": 0.0})
+    with pytest.raises(PreconditionError, match=f"bounds for {name} are empty"):
+        ControlBounds(**{f"{name}_lo": np.array([0.0, 1.0]), f"{name}_hi": 0.5})
+
+
 def test_trajectories_bit_identical(rng):
     sysd = make_system(6, 6)
     grid = sysd.grid
@@ -270,9 +280,9 @@ def test_initial_nutrient_validated():
         sysd.solve_state(w, phi0, bad, 0.1, 2)
 
 
-def test_solver_failure_names_its_step():
+def test_solver_failure_names_its_step(monkeypatch):
     sysd = make_system(4, 4, well_scale=50.0)
-    sysd.newton_max_iter = 2
+    monkeypatch.setattr(state_mod, "NEWTON_MAX_CORRECTIONS", 2)
     nn = sysd.grid.n_nodes
     with pytest.raises(TimestepError, match=r"^step 1 \(t = 50\): composition Newton"):
         sysd.solve_state(sysd.zero_controls(2), tumour_ic(sysd.grid), np.ones(nn), 100.0, 2)
