@@ -272,15 +272,15 @@ def validate_config(cfg: RunConfig) -> None:
         cfg.build_grid()
         params = cfg.build_params()
         cfg.build_nonlinearities()
-        cfg.build_bounds()
+        bounds = cfg.build_bounds()
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
     # the nutrient stays in [0, cap] only for supplies w1 >= 0 and dosages
     # 0 <= w3 <= lambda_c cap
-    for key in ("control.w1_min", "control.w3_min"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} = {cfg[key]!r} must be >= 0 to keep the "
-                              f"nutrient non-negative (A5)")
+    for name in bounds.negative_lower_bounds():
+        key = f"control.{name}_min"
+        raise ConfigError(f"{key} = {cfg[key]!r} must be >= 0 to keep the "
+                          f"nutrient non-negative (A5)")
     w3_cap = params.lambda_c * params.nutrient_cap
     if cfg["control.w3_max"] > w3_cap:
         raise ConfigError(f"control.w3_max = {cfg['control.w3_max']!r} exceeds "

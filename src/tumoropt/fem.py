@@ -11,11 +11,13 @@ interpolation operator ``P`` and paired back with ``P^T diag(w)``; keeping a
 single quadrature pipeline is what makes the discrete energy law and the
 transpose-mode adjoint exact.
 
-The scalar nodal operators (mass, stiffness and every weighted zero-order
-form ``P^T diag(w c) P``) share one fixed CSC pattern, the 9-point nodal
-pattern, computed once per grid.  They are assembled as data arrays on it:
-a per-cell sum over the 4 Gauss points of 4x4 shape-function products,
-scattered into the pattern by ``np.bincount``.
+Every bilinear form is a data array on one fixed pattern, the 9-point nodal
+pattern of the grid: a cell table of the Gauss-point products of the cell's
+16 node pairs, k components each, summed by one (n_cells, 4) @ (4, 16 k)
+product and scattered by ``np.bincount``.  The scalar forms (mass,
+stiffness, ``P^T diag(w c) P``) have k = 1, the elasticity operator k = 4
+and the phi -> strain coupling k = 2, both built from ``_strain_table``,
+as is ``G``.  Set-up forms no sparse matrix product.
 """
 
 from __future__ import annotations
@@ -147,11 +149,15 @@ class Quadrature:
     def _assemble(self, weights_at_gps: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Pattern data of sum_g weights_g table_g over every cell.
 
-        ``table[g, 4 a + b]`` is the cell-local entry (a, b) contributed by
-        Gauss point g; the cell sums are one (n_cells, 4) @ (4, 16) product.
+        ``table[g, k (4 a + b) + i]`` is component i of the cell-local entry
+        (a, b) contributed by Gauss point g; the cell sums are one
+        (n_cells, 4) @ (4, 16 k) product, and component i of pattern entry s
+        lands at k s + i.
         """
+        k = table.shape[1] // 16
         local = weights_at_gps.reshape(-1, 4) @ table
-        return np.bincount(self.slots, local.ravel(), minlength=self.indices.size)
+        bins = self.slots[:, None] * k + np.arange(k)
+        return np.bincount(bins.ravel(), local.ravel(), minlength=k * self.indices.size)
 
 
 def _shape_values():
@@ -175,6 +181,18 @@ _MASS_TABLE = _outer(_N_AT_GPS, _N_AT_GPS)
 def _shape_gradients(grid: Grid):
     _, dN_dxi, dN_deta = _shape_values()
     return dN_dxi * (2.0 / grid.hx), dN_deta * (2.0 / grid.hy)
+
+
+def _strain_table(grid: Grid) -> np.ndarray:
+    """(4 gps, 3, 8): the strain Voigt triple of each cell-local displacement
+    dof, u_x of node a at 2 a -> [dx, 0, dy/2], u_y at 2 a + 1 -> [0, dy, dx/2]."""
+    dN_dx, dN_dy = _shape_gradients(grid)
+    B = np.zeros((4, 3, 4, 2))
+    B[:, 0, :, 0] = dN_dx
+    B[:, 1, :, 1] = dN_dy
+    B[:, 2, :, 0] = 0.5 * dN_dy
+    B[:, 2, :, 1] = 0.5 * dN_dx
+    return B.reshape(4, 3, 8)
 
 
 # cell-local node offsets (x, y), in the order of ``Grid.cells``
@@ -205,8 +223,6 @@ def _nodal_pattern(grid: Grid):
 
 
 def quadrature(grid: Grid) -> Quadrature:
-    dN_dx, dN_dy = _shape_gradients(grid)
-
     nc = grid.n_cells
     cells = grid.cells                                  # (nc, 4)
     nq = 4 * nc
@@ -218,18 +234,17 @@ def quadrature(grid: Grid) -> Quadrature:
     xy = (x0[:, None, :] + loc[None, :, :]).reshape(nq, 2)
 
     rows = (np.arange(nq)[:, None] * np.ones(4, dtype=int)).ravel()
-    cols = np.repeat(cells, 4, axis=0).ravel()          # cell c repeated for its 4 gps
-    P = sp.coo_matrix((np.tile(_N_AT_GPS, (nc, 1)).ravel(), (rows, cols)),
+    cols = np.repeat(cells, 4, axis=0)                  # cell c repeated for its 4 gps
+    P = sp.coo_matrix((np.tile(_N_AT_GPS, (nc, 1)).ravel(), (rows, cols.ravel())),
                       shape=(nq, grid.n_nodes)).tocsr()
 
-    # strain rows: [Exx; Eyy; Exy] per gp, displacement dofs interleaved (x, y)
-    gx = np.tile(dN_dx, (nc, 1)).ravel()
-    gy = np.tile(dN_dy, (nc, 1)).ravel()
-    r_xx = (3 * np.arange(nq)[:, None] * np.ones(4, dtype=int)).ravel()
-    data = np.concatenate([gx, gy, 0.5 * gy, 0.5 * gx])
-    rows_g = np.concatenate([r_xx, r_xx + 1, r_xx + 2, r_xx + 2])
-    cols_g = np.concatenate([2 * cols, 2 * cols + 1, 2 * cols, 2 * cols + 1])
-    G = sp.coo_matrix((data, (rows_g, cols_g)),
+    # strain rows [Exx; Eyy; Exy] per gp from the nonzeros (v, i) of the
+    # strain table, displacement dofs interleaved (x, y)
+    B = _strain_table(grid)
+    v, i = np.nonzero((B != 0).any(axis=0))
+    G = sp.coo_matrix((np.tile(B[:, v, i], (nc, 1)).ravel(),
+                       ((3 * np.arange(nq)[:, None] + v).ravel(),
+                        (2 * cols[:, i // 2] + i % 2).ravel())),
                       shape=(3 * nq, 2 * grid.n_nodes)).tocsr()
 
     indptr, indices, slots = _nodal_pattern(grid)
@@ -240,6 +255,18 @@ def quadrature(grid: Grid) -> Quadrature:
 def _nodal_matrix(quad: Quadrature, data: np.ndarray) -> sp.csc_matrix:
     n = quad.indptr.size - 1
     return sp.csc_matrix((data, quad.indices, quad.indptr), shape=(n, n))
+
+
+def _block_matrix(quad: Quadrature, local: np.ndarray, r: int, c: int) -> sp.csr_matrix:
+    """The (r nn, c nn) matrix of r x c node blocks assembled from the cell
+    matrices ``local[g, r b + e, c a + d]`` of each Gauss point g, coupling
+    component e of cell node b with component d of cell node a.  Read as
+    block rows, the pattern puts entry (a, b) in block row b, so slot 4 a + b
+    of the cell table holds the block of rows b and columns a."""
+    n = quad.indptr.size - 1
+    table = local.reshape(4, 4, r, 4, c).transpose(0, 3, 1, 2, 4).reshape(4, 16 * r * c)
+    data = quad._assemble(quad.w, table).reshape(-1, r, c)
+    return sp.bsr_matrix((data, quad.indices, quad.indptr), shape=(r * n, c * n)).tocsr()
 
 
 def assemble_mass(grid: Grid, quad: Quadrature) -> sp.csc_matrix:
@@ -290,9 +317,11 @@ def assemble_elasticity(grid: Grid, C: ElasticityTensor, quad: Quadrature):
     of the dofs that are not pinned; eliminating the pinned rows and columns
     symmetrically leaves a positive definite block.
     """
-    block = sp.kron(sp.diags(quad.w), C.form)
-    A = (quad.G.T @ block @ quad.G).tocsr()
-    return A, ~dirichlet_dof_mask(grid)
+    B = _strain_table(grid)
+    local = np.einsum("gvi,vw,gwj->gij", B, C.form, B)
+    # symmetric per point, so the assembled operator is exactly symmetric
+    local = 0.5 * (local + local.transpose(0, 2, 1))
+    return _block_matrix(quad, local, 2, 2), ~dirichlet_dof_mask(grid)
 
 
 def assemble_coupling_phi_to_strain(grid: Grid, C: ElasticityTensor,
@@ -304,8 +333,8 @@ def assemble_coupling_phi_to_strain(grid: Grid, C: ElasticityTensor,
     composition equation.
     """
     stress = C.form @ np.asarray(misfit_voigt, dtype=float)   # includes Voigt weights
-    col = sp.csr_matrix(stress.reshape(3, 1))
-    return (quad.G.T @ sp.kron(sp.diags(quad.w), col) @ quad.P).tocsr()
+    local = (stress @ _strain_table(grid))[:, :, None] * _N_AT_GPS[:, None, :]
+    return _block_matrix(quad, local, 2, 1)
 
 
 def neumann_load(grid: Grid, traction: np.ndarray) -> np.ndarray:

@@ -90,6 +90,13 @@ class ControlBounds:
                       > np.asarray(getattr(self, name + "_hi"))):
                 raise PreconditionError(f"control bounds for {name} are empty (min > max)")
 
+    def negative_lower_bounds(self) -> list[str]:
+        """w1 and w3 where their lower bound is negative: the nutrient stays
+        non-negative only for w1, w3 >= 0 (A5).  Checking the box rather than
+        the values lets a finite-difference step leave it."""
+        return [name for name in ("w1", "w3")
+                if np.any(np.asarray(getattr(self, name + "_lo")) < 0)]
+
     def sup_w1(self) -> float:
         return float(max(np.max(np.abs(self.w1_lo)), np.max(np.abs(self.w1_hi))))
 
@@ -564,6 +571,10 @@ class System:
             raise PreconditionError(
                 f"initial nutrient must lie in [0, {cap}] (A5); "
                 f"got [{sigma0.min():.3g}, {sigma0.max():.3g}]")
+        for name in controls.bounds.negative_lower_bounds():
+            raise PreconditionError(
+                f"control bound {name}_lo must be >= 0 to keep the nutrient "
+                f"non-negative (A5)")
         if controls.n_steps != n_steps or controls.w1.shape != (self.grid.n_boundary_nodes, n_steps):
             raise PreconditionError("control layout does not match the run")
         tau = T / n_steps

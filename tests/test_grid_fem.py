@@ -261,3 +261,24 @@ def test_pattern_assembly_matches_sparse_products(rng, beta):
     fills = [lu.L.nnz + lu.U.nnz for lu in (spla.splu(J, **SPLU_OPTIONS["ch"]),
                                              spla.splu(J_ref, **SPLU_OPTIONS["ch"]))]
     assert fills[0] == fills[1]
+
+    # elasticity and the phi -> strain coupling, from the strain operator G
+    A, _ = fem.assemble_elasticity(g, p.C, quad)
+    A_ref = quad.G.T @ sp.kron(sp.diags(quad.w), p.C.form) @ quad.G
+    assert _rel(A, A_ref) <= 1e-14 and (A != A.T).nnz == 0
+    stress = sp.csr_matrix((p.C.form @ p.misfit_strain).reshape(3, 1))
+    Bc_ref = quad.G.T @ sp.kron(sp.diags(quad.w), stress) @ quad.P
+    assert _rel(sysd.Bc, Bc_ref) <= 1e-14
+
+
+def test_system_setup_forms_no_sparse_product(monkeypatch):
+    from scipy.sparse._compressed import _cs_matrix
+
+    from tumoropt.config import default_config
+
+    calls = []
+    matmul = _cs_matrix._matmul_sparse
+    monkeypatch.setattr(_cs_matrix, "_matmul_sparse",
+                        lambda self, other: calls.append(1) or matmul(self, other))
+    default_config(grid__nx=6, grid__ny=6).build_system()
+    assert calls == []

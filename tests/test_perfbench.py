@@ -6,6 +6,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -48,6 +50,42 @@ def test_traced_forward_factors_ch_once_per_step():
     m = tracing.layer_metrics(tracer.spans, "unit-1", sysd.grid.n_nodes)
     assert m["splu.ch.count"] == cfg["time.steps"]
     assert m["state.newton_per_step"] == 1.0
+
+
+@pytest.mark.parametrize("storage", ["memory", "disk"])
+def test_traced_gradient_chain_repeats_its_counters(storage, tmp_path):
+    # the benchmark fails a run whose counters differ between units, as they
+    # do when a factor or a field is cached on first use
+    from tumoropt import adjoint, cost
+    from tumoropt.config import default_config
+
+    tracing = _load_tracing()
+    cfg = default_config(grid__nx=6, grid__ny=6, time__steps=5)
+    sysd = cfg.build_system()
+    phi0, sig0 = cfg.initial_fields(sysd)
+    controls = cfg.initial_controls(sysd)
+    weights = cfg.build_weights(sysd)
+
+    def chain(directory):
+        kept = dict(storage="disk", every=2, directory=directory) if storage == "disk" else {}
+        traj = sysd.solve_state(controls, phi0, sig0, cfg["time.T"], cfg["time.steps"],
+                                **kept)
+        cost.eval_cost(sysd, traj, controls, weights)
+        adj = adjoint.solve_adjoint(sysd, traj, controls, weights, "transpose")
+        return adjoint.reduced_gradient(sysd, traj, adj, controls, weights)
+
+    tracer = tracing.Tracer()
+    units = ("unit-1", "unit-2")
+    try:
+        tracer.install("tumoropt")
+        for uid in units:
+            tracer.run(uid, chain, tmp_path / uid)
+    finally:
+        tracer.uninstall()
+    first, second = (tracing.layer_metrics(tracer.spans, uid, sysd.grid.n_nodes)
+                     for uid in units)
+    assert first["splu.ch.count"] > 0 and first["cost.eval_calls"] == 1
+    assert {k: first[k] for k in tracing.COUNTERS} == {k: second[k] for k in tracing.COUNTERS}
 
 
 def _is_lookup(func) -> bool:

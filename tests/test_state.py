@@ -280,6 +280,17 @@ def test_initial_nutrient_validated():
         sysd.solve_state(w, phi0, bad, 0.1, 2)
 
 
+@pytest.mark.parametrize("name", ["w1", "w3"])
+def test_negative_lower_control_bound_rejected(name):
+    # with w1_lo = -1 and w1 = -1 an 8 x 8, 8-step run read sigma min -0.733
+    sysd = make_system(8, 8)
+    w = sysd.zero_controls(8, ControlBounds(**{f"{name}_lo": -1.0}))
+    getattr(w, name)[:] = -1.0
+    nn = sysd.grid.n_nodes
+    with pytest.raises(PreconditionError, match=f"{name}_lo must be >= 0.*A5"):
+        sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(nn), 1.0, 8)
+
+
 def test_solver_failure_names_its_step(monkeypatch):
     sysd = make_system(4, 4, well_scale=50.0)
     monkeypatch.setattr(state_mod, "NEWTON_MAX_CORRECTIONS", 2)
