@@ -11,13 +11,13 @@ interpolation operator ``P`` and paired back with ``P^T diag(w)``; keeping a
 single quadrature pipeline is what makes the discrete energy law and the
 transpose-mode adjoint exact.
 
-Every bilinear form is a data array on one fixed pattern, the 9-point nodal
-pattern of the grid: a cell table of the Gauss-point products of the cell's
-16 node pairs, k components each, summed by one (n_cells, 4) @ (4, 16 k)
-product and scattered by ``np.bincount``.  The scalar forms (mass,
-stiffness, ``P^T diag(w c) P``) have k = 1, the elasticity operator k = 4
-and the phi -> strain coupling k = 2, both built from ``_strain_table``,
-as is ``G``.  Set-up forms no sparse matrix product.
+Every form integrated over the cells is a data array on one fixed pattern,
+the 9-point nodal pattern of the grid: a cell table of the Gauss-point
+products of the cell's 16 node pairs, k components each, summed by one
+(n_cells, 4) @ (4, 16 k) product and scattered by ``np.bincount``.  The
+scalar forms (mass, stiffness, ``P^T diag(w c) P``) have k = 1, the
+elasticity operator k = 4 and the phi -> strain coupling k = 2, both built
+from ``_strain_table``, as is ``G``.  Set-up forms no sparse matrix product.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tumoropt import fem
+from tumoropt.config import default_config
 from tumoropt.grid import GridConfigError, build_grid, nested_dissection
 from tumoropt.state import SPLU_OPTIONS
 
@@ -273,8 +274,6 @@ def test_pattern_assembly_matches_sparse_products(rng, beta):
 
 def test_system_setup_forms_no_sparse_product(monkeypatch):
     from scipy.sparse._compressed import _cs_matrix
-
-    from tumoropt.config import default_config
 
     calls = []
     matmul = _cs_matrix._matmul_sparse
