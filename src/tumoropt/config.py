@@ -19,7 +19,7 @@ from .constitutive import DrugSchedule, ModelParams, Nonlinearities
 from .cost import CostConfigError, CostWeights
 from .fem import ElasticityTensor
 from .grid import Grid, build_grid
-from .state import ControlBounds, ControlTriple, System
+from .state import ControlBounds, ControlTriple, PreconditionError, System
 
 
 class ConfigError(ValueError):
@@ -40,8 +40,6 @@ def _floats(text: str) -> tuple[float, ...]:
 def _fmt(value) -> str:
     if isinstance(value, tuple):
         return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
@@ -64,9 +62,6 @@ SCHEMA: dict[str, tuple] = {
     "model.lambda_a": (_float, 0.1),
     "model.lambda_c": (_float, 1.0),
     "model.sigma_c": (_float, 1.0),
-    "model.elasticity": (str, "isotropic"),
-    "model.lame_lambda": (_float, 1.0),
-    "model.lame_mu": (_float, 1.0),
     "model.elasticity_voigt": (_floats, (3.0, 1.0, 0.0, 1.0, 3.0, 0.0, 0.0, 0.0, 2.0)),
     "model.bar_strain": (_floats, (0.0, 0.0, 0.0)),
     "model.misfit_strain": (_floats, (0.05, 0.05, 0.0)),
@@ -109,6 +104,13 @@ SCHEMA: dict[str, tuple] = {
 
 EXPERIMENTS = ("forward", "frechet", "gradcheck", "optimize", "gamma_sweep")
 
+# the spec kinds of a key, each with the number of values it takes: None
+# takes a path, and a kind taking no value is written bare
+FIELD_SPECS = {"constant": 1, "circle": 4, "file": None}
+SPEC_KINDS = {"control.initial": {"schedule": 0, "constant": 3},
+              **dict.fromkeys(("ic.phi", "ic.sigma", "cost.phi_Q", "cost.phi_Omega"),
+                              FIELD_SPECS)}
+
 
 @dataclass
 class RunConfig:
@@ -130,22 +132,13 @@ class RunConfig:
             w2_lo=self["control.w2_min"], w2_hi=self["control.w2_max"],
             w3_lo=self["control.w3_min"], w3_hi=self["control.w3_max"])
 
-    def build_elasticity(self) -> ElasticityTensor:
-        kind = self["model.elasticity"]
-        if kind == "isotropic":
-            return ElasticityTensor.isotropic(self["model.lame_lambda"],
-                                              self["model.lame_mu"])
-        if kind == "voigt":
-            return ElasticityTensor(np.asarray(self["model.elasticity_voigt"],
-                                               dtype=float).reshape(3, 3))
-        raise ConfigError(f"unknown elasticity kind {kind!r}")
-
     def build_params(self) -> ModelParams:
         return ModelParams(
             beta=self["model.beta"], B=self["model.B"], kappa=self["model.kappa"],
             chi=self["model.chi"], lambda_p=self["model.lambda_p"],
             lambda_a=self["model.lambda_a"], lambda_c=self["model.lambda_c"],
-            sigma_c=self["model.sigma_c"], C=self.build_elasticity(),
+            sigma_c=self["model.sigma_c"],
+            C=ElasticityTensor(np.reshape(self["model.elasticity_voigt"], (3, 3))),
             bar_strain=np.asarray(self["model.bar_strain"]),
             misfit_strain=np.asarray(self["model.misfit_strain"]),
             g_load=np.asarray(self["model.g_load"]),
@@ -170,44 +163,40 @@ class RunConfig:
         grid = system.grid
         fields = []
         for key in ("ic.phi", "ic.sigma"):
-            field = generate_field(self[key], grid, self, allow_forward=False)
+            field = generate_field(self[key], grid)
             if field.shape != (grid.n_nodes,):
                 raise ConfigError(f"{key} = {self[key]}: an initial field needs one "
                                   f"value per node, got shape {field.shape}")
             fields.append(field)
         phi0, sigma0 = fields
-        # the nutrient start is clipped into its admissible band (A5)
-        sigma0 = np.clip(sigma0, 0.0, system.params.nutrient_cap)
+        try:
+            system.check_initial_nutrient(sigma0)
+        except PreconditionError as exc:
+            raise ConfigError(f"ic.sigma = {self['ic.sigma']}: {exc}") from exc
         return phi0, sigma0
 
     def initial_controls(self, system: System) -> ControlTriple:
         n = self["time.steps"]
         bounds = self.build_bounds()
         w = system.zero_controls(n, bounds)
-        kind = self["control.initial"]
-        if kind == "zero":
-            pass
-        elif kind == "schedule":
+        kind, values = _parse_spec(self["control.initial"],
+                                   SPEC_KINDS["control.initial"])
+        if kind == "schedule":
             sched = self.drug_schedule()
             t = (np.arange(n) + 1) * self["time.T"] / n
             w.w1[:] = system.params.sigma_c
             w.w2[:] = sched(t)
             w.w3[:] = sched(t)
-        elif kind.startswith("constant:"):
-            vals = _floats(kind.split(":", 1)[1])
-            if len(vals) != 3:
-                raise ConfigError("control.initial constant needs three values")
-            w.w1[:], w.w2[:], w.w3[:] = vals
         else:
-            raise ConfigError(f"unknown initial-control source {kind!r}")
+            w.w1[:], w.w2[:], w.w3[:] = values
         return w.clipped()
 
     def build_weights(self, system: System) -> CostWeights:
         grid = system.grid
         return CostWeights(
             **_scalar_weights(self),
-            phi_Q=generate_field(self["cost.phi_Q"], grid, self),
-            phi_Omega=generate_field(self["cost.phi_Omega"], grid, self))
+            phi_Q=generate_field(self["cost.phi_Q"], grid),
+            phi_Omega=generate_field(self["cost.phi_Omega"], grid))
 
 
 def _scalar_weights(cfg: RunConfig) -> dict[str, float]:
@@ -255,6 +244,11 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg["experiment.name"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg['experiment.name']!r}; "
                           f"expected one of {EXPERIMENTS}")
+    for key, kinds in SPEC_KINDS.items():
+        try:
+            _parse_spec(cfg[key], kinds)
+        except ConfigError as exc:
+            raise ConfigError(f"{key} = {cfg[key]}: {exc}") from exc
     if cfg["opt.tol"] <= 0:
         raise ConfigError("opt.tol must be positive")
     for key in ("opt.max_iterations", "experiment.trials"):
@@ -316,40 +310,43 @@ def default_config(**overrides) -> RunConfig:
 # field generators
 # ---------------------------------------------------------------------------
 
-def generate_field(spec: str, grid: Grid, cfg: RunConfig | None = None,
-                   allow_forward: bool = True) -> np.ndarray:
+def _parse_spec(spec: str, kinds: dict) -> tuple[str, tuple | str]:
+    """(kind, values) of a ``kind:v1,v2,...`` spec, or (kind, path) of a kind
+    taking a path; ``kinds`` maps each allowed kind to its value count."""
+    kind, colon, arg = spec.partition(":")
+    if kind not in kinds or bool(colon) != (kinds[kind] != 0):
+        raise ConfigError(f"unknown spec {spec!r}; its kind must be one of "
+                          f"{', '.join(kinds)}")
+    if kinds[kind] is None:
+        return kind, arg
+    try:
+        values = _floats(arg)
+    except ValueError as exc:
+        raise ConfigError(f"bad value in {spec!r}: {exc}") from exc
+    if len(values) != kinds[kind]:
+        raise ConfigError(f"{kind} takes {kinds[kind]} values, got {len(values)}")
+    return kind, values
+
+
+def generate_field(spec: str, grid: Grid) -> np.ndarray:
     """Build a nodal field from a generator spec or a field container.
 
-    Specs: ``constant:<v>``, ``circle:<cx>,<cy>,<radius>,<width>``,
-    ``file:<path>`` and ``forward-final`` (final composition of a forward run
-    of the configuration with its initial-guess controls).
+    Specs: ``constant:<v>``, ``circle:<cx>,<cy>,<radius>,<width>`` and
+    ``file:<path>``.
     """
-    if spec.startswith("constant:"):
-        return np.full(grid.n_nodes, float(spec.split(":", 1)[1]))
-    if spec.startswith("circle:"):
-        vals = _floats(spec.split(":", 1)[1])
-        if len(vals) != 4:
-            raise ConfigError("circle generator needs cx,cy,radius,width")
-        cx, cy, radius, width = vals
+    kind, arg = _parse_spec(spec, FIELD_SPECS)
+    if kind == "constant":
+        return np.full(grid.n_nodes, arg[0])
+    if kind == "circle":
+        cx, cy, radius, width = arg
         dist = np.hypot(grid.nodes[:, 0] - cx, grid.nodes[:, 1] - cy)
         return np.tanh((radius - dist) / (np.sqrt(2.0) * width))
-    if spec.startswith("file:"):
-        arrays = io.read_fld(spec.split(":", 1)[1])
-        io.check_grid_shape(grid, arrays, spec)
-        if "field" not in arrays:
-            raise ConfigError(f"{spec}: container has no 'field' array")
-        field = arrays["field"]
-        if field.shape[-1] != grid.n_nodes:
-            raise ConfigError(
-                f"{spec}: field has {field.shape[-1]} nodes, expected {grid.n_nodes}")
-        return field
-    if spec == "forward-final":
-        if not allow_forward or cfg is None:
-            raise ConfigError("forward-final generator is not allowed here")
-        system = cfg.build_system()
-        phi0, sigma0 = cfg.initial_fields(system)
-        traj = system.solve_state(cfg.initial_controls(system), phi0, sigma0,
-                                  cfg["time.T"], cfg["time.steps"])
-        return traj.final().phi.copy()
-    raise ConfigError(f"unknown field generator {spec!r}")
-
+    arrays = io.read_fld(arg)
+    io.check_grid_shape(grid, arrays, spec)
+    if "field" not in arrays:
+        raise ConfigError(f"{spec}: container has no 'field' array")
+    field = arrays["field"]
+    if field.shape[-1] != grid.n_nodes:
+        raise ConfigError(
+            f"{spec}: field has {field.shape[-1]} nodes, expected {grid.n_nodes}")
+    return field

@@ -155,10 +155,6 @@ class Nonlinearities:
         r = np.asarray(r, dtype=float)
         return self.well_scale * 0.25 * (r * r - 1.0) ** 2
 
-    def psi_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.well_scale * (r * r - 1.0) * r
-
     def psi1_prime(self, r):
         r = np.asarray(r, dtype=float)
         return self.well_scale * (r * r * r)
@@ -268,11 +264,6 @@ def elastic_energy_density(params: ModelParams, phi, strain_v) -> np.ndarray:
     return 0.5 * tensor_dot(params.C.apply(e), e)
 
 
-def w_phi(params: ModelParams, phi, strain_v) -> np.ndarray:
-    """W_phi = -C(E - Ebar - phi E*) : E*, the composition derivative of W."""
-    return -tensor_dot(stress(params, phi, strain_v), params.misfit_strain)
-
-
 @dataclass(frozen=True)
 class GaussCoefficients:
     """The model coefficients of one state snapshot at the Gauss points.
@@ -287,7 +278,7 @@ class GaussCoefficients:
     params: ModelParams
     phi: np.ndarray
     stress: np.ndarray      # W_E = C(E - Ebar - phi E*), Voigt
-    w_phi: np.ndarray       # -W_E : E*
+    w_phi: np.ndarray       # W_phi = -W_E : E*, the composition derivative of W
     f: np.ndarray
     df: np.ndarray
     g: np.ndarray
@@ -350,7 +341,7 @@ def gauss_coefficients(params: ModelParams, nl: Nonlinearities, xy, phi,
     stress_v = stress(params, phi, strain_v)
     return GaussCoefficients(
         params=params, phi=phi, stress=stress_v,
-        w_phi=w_phi(params, phi, strain_v),
+        w_phi=-tensor_dot(stress_v, params.misfit_strain),
         f=nl.f(phi), df=nl.f_prime(phi),
         g=nl.g_of(stress_v), dg=nl.g_grad(stress_v),
         h=nl.h(phi), dh=nl.h_prime(phi),

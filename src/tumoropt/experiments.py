@@ -133,9 +133,9 @@ def run_frechet(cfg, outdir: Path, seed: int):
     rng = np.random.default_rng(seed)
     b = controls.bounds
     base = system.zero_controls(N, b)
-    base.w1[:] = 0.5 * (np.asarray(b.w1_lo) + np.asarray(b.w1_hi))
-    base.w2[:] = 0.5 * (np.asarray(b.w2_lo) + np.asarray(b.w2_hi))
-    base.w3[:] = 0.5 * (np.asarray(b.w3_lo) + np.asarray(b.w3_hi))
+    base.w1[:] = 0.5 * (b.w1_lo + b.w1_hi)
+    base.w2[:] = 0.5 * (b.w2_lo + b.w2_hi)
+    base.w3[:] = 0.5 * (b.w3_lo + b.w3_hi)
 
     rows = []
     slopes = []

@@ -156,8 +156,8 @@ class Quadrature:
         """
         k = table.shape[1] // 16
         local = weights_at_gps.reshape(-1, 4) @ table
-        bins = self.slots[:, None] * k + np.arange(k)
-        return np.bincount(bins.ravel(), local.ravel(), minlength=k * self.indices.size)
+        bins = self.slots if k == 1 else (self.slots[:, None] * k + np.arange(k)).ravel()
+        return np.bincount(bins, local.ravel(), minlength=k * self.indices.size)
 
 
 def _shape_values():

@@ -62,11 +62,12 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
               + coef.growth_dphi(sig_gp, w.w2[j]) * xi_gp
               + tensor_dot(coef.growth_dstress(sig_gp), p.C.apply(strain_v))
               + coef.growth_dw2 * direction.w2[j])
-        dstress = p.C.apply(strain_v - xi_gp[:, None] * p.misfit_strain)
+        # the stress coupling (C(E(v) - xi E*), E*) through the operators the
+        # adjoint transposes
         rhs1 = (system.M @ xi) / tau + quad.pair(dU)
         rhs2 = (quad.pair(nl.psi2_second(coef.phi) * xi_gp)
                 - p.chi * (system.M @ psi_new)
-                - quad.pair(tensor_dot(dstress, p.misfit_strain)))
+                - (system.BcT @ out[-1].v - system.misfit_curvature * (system.M @ xi)))
         sol = system.solve_ch(cur.phi, tau, np.concatenate([rhs1, rhs2]), "N")
         xi = sol[:nn]
         eta = sol[nn:]
@@ -164,8 +165,8 @@ def _shrink(w: ControlTriple, direction: ControlTriple,
                            (w.w2, direction.w2, b.w2_lo, b.w2_hi),
                            (w.w3, direction.w3, b.w3_lo, b.w3_hi)):
         move = eps_max * np.abs(h)
-        room_up = np.asarray(hi) - arr
-        room_dn = arr - np.asarray(lo)
+        room_up = hi - arr
+        room_dn = arr - lo
         with np.errstate(divide="ignore", invalid="ignore"):
             f_up = np.where(move > 0, room_up / move, np.inf)
             f_dn = np.where(move > 0, room_dn / move, np.inf)

@@ -76,18 +76,17 @@ CHORD_CONTRACTION = 0.1
 
 @dataclass
 class ControlBounds:
-    """Box bounds; scalars or arrays broadcastable to the control layout."""
-    w1_lo: float | np.ndarray = 0.0
-    w1_hi: float | np.ndarray = 1.0
-    w2_lo: float | np.ndarray = 0.0
-    w2_hi: float | np.ndarray = 0.8
-    w3_lo: float | np.ndarray = 0.0
-    w3_hi: float | np.ndarray = 0.8
+    """Box bounds, one interval per control component."""
+    w1_lo: float = 0.0
+    w1_hi: float = 1.0
+    w2_lo: float = 0.0
+    w2_hi: float = 0.8
+    w3_lo: float = 0.0
+    w3_hi: float = 0.8
 
     def __post_init__(self):
         for name in ("w1", "w2", "w3"):
-            if np.any(np.asarray(getattr(self, name + "_lo"))
-                      > np.asarray(getattr(self, name + "_hi"))):
+            if getattr(self, name + "_lo") > getattr(self, name + "_hi"):
                 raise PreconditionError(f"control bounds for {name} are empty (min > max)")
 
     def negative_lower_bounds(self) -> list[str]:
@@ -95,10 +94,10 @@ class ControlBounds:
         non-negative only for w1, w3 >= 0 (A5).  Checking the box rather than
         the values lets a finite-difference step leave it."""
         return [name for name in ("w1", "w3")
-                if np.any(np.asarray(getattr(self, name + "_lo")) < 0)]
+                if getattr(self, name + "_lo") < 0]
 
     def sup_w1(self) -> float:
-        return float(max(np.max(np.abs(self.w1_lo)), np.max(np.abs(self.w1_hi))))
+        return float(max(abs(self.w1_lo), abs(self.w1_hi)))
 
 
 @dataclass
@@ -175,9 +174,9 @@ class ControlSpace:
                           bounds: ControlBounds) -> ControlTriple:
         nb = self.dgamma.size
         n = self.n_steps
-        w1 = rng.uniform(size=(nb, n)) * (np.asarray(bounds.w1_hi) - np.asarray(bounds.w1_lo)) + bounds.w1_lo
-        w2 = rng.uniform(size=n) * (np.asarray(bounds.w2_hi) - np.asarray(bounds.w2_lo)) + bounds.w2_lo
-        w3 = rng.uniform(size=n) * (np.asarray(bounds.w3_hi) - np.asarray(bounds.w3_lo)) + bounds.w3_lo
+        w1 = rng.uniform(size=(nb, n)) * (bounds.w1_hi - bounds.w1_lo) + bounds.w1_lo
+        w2 = rng.uniform(size=n) * (bounds.w2_hi - bounds.w2_lo) + bounds.w2_lo
+        w3 = rng.uniform(size=n) * (bounds.w3_hi - bounds.w3_lo) + bounds.w3_lo
         return ControlTriple(w1, w2, w3, bounds)
 
 
@@ -272,7 +271,8 @@ class StateTrajectory:
         snap = self._load(n0)
         self._segment = {n0: snap}
         for n in range(n0 + 1, n1 + 1):
-            snap = self.system.advance(snap, self.controls, n, self.tau)
+            coef = self.system.coefficients(snap)
+            snap = self.system.advance(snap, coef, self.controls, n, self.tau)
             self._segment[n] = snap
 
     def final(self) -> StateSnapshot:
@@ -406,7 +406,9 @@ class System:
                              shape=(n, n))
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        return _solve_permuted(self._mass_lu, self.node_order, rhs, "N")
+        x = _solve_permuted(self._mass_lu, self.node_order, rhs, "N")
+        _check_residual("mass", self.M, x, rhs)
+        return x
 
     # -- elasticity ----------------------------------------------------------
 
@@ -472,13 +474,26 @@ class System:
         return sp.csc_matrix((blocks.take(self._ch_take), self._ch_indices, self._ch_indptr),
                              shape=(n, n))
 
-    def _ch_factor(self, phi: np.ndarray, tau: float):
-        return splu(self.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
-
     def solve_ch(self, phi: np.ndarray, tau: float, rhs: np.ndarray,
                  trans: str) -> np.ndarray:
         """Solve with the composition Jacobian at ``phi``, or its transpose if ``trans="T"``."""
-        return _solve_permuted(self._ch_factor(phi, tau), self.ch_order, rhs, trans)
+        J = self.ch_jacobian(phi, tau)
+        order = self.ch_order
+        x = _solve_permuted(splu(J, **SPLU_OPTIONS["ch"]), order, rhs, trans)
+        _check_residual("composition", J if trans == "N" else J.T, x[order], rhs[order])
+        return x
+
+    def _stationary_mu(self, phi: np.ndarray, coef: con.GaussCoefficients,
+                       sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """mu with M mu = K phi + (psi1'(phi), .) + lagged, the stationary
+        relation, and the lagged load (psi2'(phi_lag) + W_phi, .) - chi M sigma
+        of the composition and displacement in ``coef``."""
+        quad = self.quad
+        lagged = (quad.pair(self.nl.psi2_prime(coef.phi)) + quad.pair(coef.w_phi)
+                  - self.params.chi * (self.M @ sigma))
+        mu = self.solve_mass(self.K @ phi + quad.pair(self.nl.psi1_prime(quad.P @ phi))
+                             + lagged)
+        return mu, lagged
 
     def step_cahn_hilliard(self, phi_prev: np.ndarray, coef: con.GaussCoefficients,
                            sigma_new: np.ndarray, w2_step: float,
@@ -491,13 +506,8 @@ class System:
         """
         nl, quad = self.nl, self.quad
         FU = quad.pair(coef.growth(quad.P @ sigma_new, w2_step))
-        lagged = (quad.pair(nl.psi2_prime(coef.phi))
-                  + quad.pair(coef.w_phi)
-                  - self.params.chi * (self.M @ sigma_new))
-
         phi = phi_prev.copy()
-        mu = self.solve_mass(self.K @ phi + quad.pair(nl.psi1_prime(quad.P @ phi))
-                             + lagged)
+        mu, lagged = self._stationary_mu(phi, coef, sigma_new)
 
         def residual(phi, mu):
             r1 = self.M @ (phi - phi_prev) / tau + self.K @ mu - FU
@@ -518,7 +528,7 @@ class System:
                     f"composition Newton did not converge in {corrections} "
                     f"corrections (residual {norm:.3e}); reduce the timestep")
             if lu is None:
-                lu = self._ch_factor(phi, tau)
+                lu = splu(self.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
             delta = _solve_permuted(lu, self.ch_order, -res, "N")
             phi += delta[:phi.size]
             mu += delta[phi.size:]
@@ -533,23 +543,13 @@ class System:
 
     # -- trajectory --------------------------------------------------------------
 
-    def chemical_potential(self, phi: np.ndarray, sigma: np.ndarray,
-                           u: np.ndarray) -> np.ndarray:
-        """mu consistent with the stationary relation at a given state."""
-        quad = self.quad
-        phi_gp = quad.P @ phi
-        rhs = (self.K @ phi + quad.pair(self.nl.psi_prime(phi_gp))
-               - self.params.chi * (self.M @ sigma)
-               + quad.pair(con.w_phi(self.params, phi_gp, quad.strain(u))))
-        return self.solve_mass(rhs)
-
-    def advance(self, snap: StateSnapshot, controls: ControlTriple, n: int,
-                tau: float) -> StateSnapshot:
-        """Advance snapshot n-1 to n using control column n-1; a solver
-        failure is re-raised with the step and its time in front."""
+    def advance(self, snap: StateSnapshot, coef: con.GaussCoefficients,
+                controls: ControlTriple, n: int, tau: float) -> StateSnapshot:
+        """Advance snapshot n-1, whose coefficients are ``coef``, to n using
+        control column n-1; a solver failure is re-raised with the step and
+        its time in front."""
         j = n - 1
         try:
-            coef = self.coefficients(snap)
             sigma = self.step_nutrient(snap.sigma, coef, controls.w1[:, j],
                                        float(controls.w3[j]), tau)
             phi, mu = self.step_cahn_hilliard(snap.phi, coef, sigma,
@@ -565,12 +565,9 @@ class System:
                     sigma0: np.ndarray, T: float, n_steps: int,
                     storage: str = "memory", every: int = 1,
                     directory=None) -> StateTrajectory:
-        """Run the forward model; returns the full trajectory."""
-        cap = self.params.nutrient_cap
-        if sigma0.min() < -1e-12 or sigma0.max() > cap + 1e-12:
-            raise PreconditionError(
-                f"initial nutrient must lie in [0, {cap}] (A5); "
-                f"got [{sigma0.min():.3g}, {sigma0.max():.3g}]")
+        """Run the forward model; returns the full trajectory.  mu0 is the
+        Newton start of a step, the stationary relation at the initial state."""
+        self.check_initial_nutrient(sigma0)
         for name in controls.bounds.negative_lower_bounds():
             raise PreconditionError(
                 f"control bound {name}_lo must be >= 0 to keep the nutrient "
@@ -580,14 +577,25 @@ class System:
         tau = T / n_steps
         traj = StateTrajectory(self, controls, tau, n_steps, storage=storage,
                                every=every, directory=directory)
-        u0 = self.solve_elasticity(phi0)
-        mu0 = self.chemical_potential(phi0, sigma0, u0)
-        snap = StateSnapshot(phi=phi0.copy(), mu=mu0, sigma=sigma0.copy(), u=u0, t=0.0)
+        snap = StateSnapshot(phi=phi0.copy(), mu=None, sigma=sigma0.copy(),
+                             u=self.solve_elasticity(phi0), t=0.0)
+        coef = self.coefficients(snap)
+        snap.mu, _ = self._stationary_mu(snap.phi, coef, snap.sigma)
         traj.append(snap)
         for n in range(1, n_steps + 1):
-            snap = self.advance(snap, controls, n, tau)
+            if n > 1:
+                coef = self.coefficients(snap)
+            snap = self.advance(snap, coef, controls, n, tau)
             traj.append(snap)
         return traj
+
+    def check_initial_nutrient(self, sigma0: np.ndarray) -> None:
+        """The nutrient band rule (A5): an initial nutrient lies in [0, cap]."""
+        cap = self.params.nutrient_cap
+        if sigma0.min() < -1e-12 or sigma0.max() > cap + 1e-12:
+            raise PreconditionError(
+                f"initial nutrient must lie in [0, {cap}] (A5); "
+                f"got [{sigma0.min():.3g}, {sigma0.max():.3g}]")
 
     # -- diagnostics ----------------------------------------------------------
 

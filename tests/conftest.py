@@ -28,10 +28,20 @@ def tumour_ic(grid, cx=0.5, cy=0.5, radius=0.3, width=0.25):
 def interior_controls(system, n_steps, bounds=None):
     b = bounds or ControlBounds()
     w = system.zero_controls(n_steps, b)
-    w.w1[:] = 0.5 * (np.asarray(b.w1_lo) + np.asarray(b.w1_hi))
-    w.w2[:] = 0.5 * (np.asarray(b.w2_lo) + np.asarray(b.w2_hi))
-    w.w3[:] = 0.5 * (np.asarray(b.w3_lo) + np.asarray(b.w3_hi))
+    w.w1[:] = 0.5 * (b.w1_lo + b.w1_hi)
+    w.w2[:] = 0.5 * (b.w2_lo + b.w2_hi)
+    w.w3[:] = 0.5 * (b.w3_lo + b.w3_hi)
     return w
+
+
+class OffFactor:
+    """A factor whose solutions are off by a relative 1e-6."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b, trans="N"):
+        return self.lu.solve(b, trans=trans) * (1 + 1e-6)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from tumoropt.cost import CostWeights, directional_cost_derivative, eval_cost
 from tumoropt.linearized import solve_linearised
 from tumoropt.state import PreconditionError, SolverError
 
-from conftest import interior_controls, make_system, tumour_ic
+from conftest import OffFactor, interior_controls, make_system, tumour_ic
 
 
 def _setup(nx=5, ny=4, N=5, T=0.4, **sys_kwargs):
@@ -104,20 +104,16 @@ def test_every_sweep_factors_through_the_system(monkeypatch, rng):
 
 
 def test_sweep_nutrient_solves_are_checked(monkeypatch, rng):
-    # a factor whose solutions are off by a relative 1e-6 fails the residual
-    # check in the linearised and adjoint sweeps, not only in the forward
+    # a nutrient factor whose solutions are off by a relative 1e-6 fails the
+    # residual check in the linearised and adjoint sweeps, not only in the
+    # forward; the composition factors stay exact, as their solves are checked
+    # too
     sysd = make_system(4, 4, chi=0.1)
     w, traj, space = _three_step_forward(sysd)
     orig = state_mod.splu
-
-    class Off:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, b, trans="N"):
-            return self.lu.solve(b, trans=trans) * (1 + 1e-6)
-
-    monkeypatch.setattr(state_mod, "splu", lambda A, **kw: Off(orig(A, **kw)))
+    nn = sysd.grid.n_nodes
+    monkeypatch.setattr(state_mod, "splu", lambda A, **kw: (
+        OffFactor(orig(A, **kw)) if A.shape[0] == nn else orig(A, **kw)))
     with pytest.raises(SolverError, match="nutrient solve failed"):
         solve_linearised(sysd, traj, w, space.random_direction(rng))
     with pytest.raises(SolverError, match="nutrient solve failed"):

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from tumoropt import io
 from tumoropt.config import (SCHEMA, ConfigError, default_config, dumps,
                              generate_field, load_config, parse_config)
+from tumoropt.fem import ElasticityTensor
 from tumoropt.grid import build_grid
 
 
@@ -143,13 +144,15 @@ def test_finite_floats_survive_dumps_parse_bitwise(tol, g_load):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-# all but the first are optimiser, diagnostic and solver constants, once
-# config keys
+# all but the first were config keys once: optimiser, diagnostic and solver
+# constants, and the second spelling of the elasticity tensor
 @pytest.mark.parametrize("key", ["nope.key", "opt.step0", "opt.armijo",
                                  "opt.max_halvings", "opt.gate",
                                  "experiment.directions", "experiment.fd_eps",
                                  "experiment.eps_values", "solver.lin_rtol",
-                                 "solver.newton_tol", "solver.newton_max_iter"])
+                                 "solver.newton_tol", "solver.newton_max_iter",
+                                 "model.elasticity", "model.lame_lambda",
+                                 "model.lame_mu"])
 def test_unknown_key_has_line_number(key):
     with pytest.raises(ConfigError, match=f":3: unknown key '{re.escape(key)}'"):
         parse_config(f"# c\ngrid.nx = 4\n{key} = 2\n")
@@ -308,14 +311,14 @@ def test_multi_row_initial_field_rejected(tmp_path, key):
         cfg.initial_fields(system)
 
 
-def test_forward_final_target_matches_forward_run():
-    cfg = default_config(grid__nx=5, grid__ny=5, time__steps=4, time__T=0.2)
-    system = cfg.build_system()
-    phi0, sigma0 = cfg.initial_fields(system)
-    traj = system.solve_state(cfg.initial_controls(system), phi0, sigma0,
-                              cfg["time.T"], cfg["time.steps"])
-    target = generate_field("forward-final", system.grid, cfg)
-    assert np.allclose(target, traj.final().phi, rtol=0, atol=1e-14)
+@pytest.mark.parametrize("key, spec", [
+    ("control.initial", "zero"), ("control.initial", "constant:0.5,0.4"),
+    ("ic.phi", "forward-final"), ("ic.sigma", "constnat:1.0"),
+    ("cost.phi_Q", "circle:0.5,0.5,0.3"), ("cost.phi_Omega", "constant:nan")])
+def test_spec_refused_at_parse_time(key, spec):
+    # a typo parsed and failed only after the System was built
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} = {re.escape(spec)}: "):
+        parse_config(f"{key} = {spec}\n")
 
 
 def test_unknown_generator_rejected():
@@ -324,18 +327,23 @@ def test_unknown_generator_rejected():
         generate_field("mystery:1", g)
 
 
-def test_initial_sigma_clipped_to_band():
-    cfg = default_config(grid__nx=4, grid__ny=4, ic__sigma="constant:5.0")
+@pytest.mark.parametrize("spec", ["constant:5.0", "constant:-0.5"])
+def test_initial_sigma_outside_band_refused(spec):
+    # the nutrient start was clipped into [0, cap] silently
+    cfg = default_config(grid__nx=4, grid__ny=4, ic__sigma=spec)
     system = cfg.build_system()
-    _, sigma0 = cfg.initial_fields(system)
-    assert sigma0.max() <= system.params.nutrient_cap
-    assert sigma0.min() >= 0.0
+    with pytest.raises(ConfigError, match=rf"^ic\.sigma = {re.escape(spec)}: .*\(A5\)"):
+        cfg.initial_fields(system)
+
+
+def test_default_elasticity_is_unit_isotropic():
+    C = default_config().build_params().C
+    assert np.array_equal(C.voigt, ElasticityTensor.isotropic(1.0, 1.0).voigt)
 
 
 def test_full_voigt_elasticity_config():
     voigt = (2.5, 0.8, 0.0, 0.8, 2.5, 0.0, 0.0, 0.0, 1.4)
     cfg = default_config(grid__nx=4, grid__ny=4, time__steps=2, time__T=0.1,
-                         model__elasticity="voigt",
                          model__elasticity_voigt=voigt)
     system = cfg.build_system()
     assert system.params.C.c0 > 0
@@ -348,4 +356,4 @@ def test_full_voigt_elasticity_config():
 def test_indefinite_voigt_rejected():
     bad = (1.0, 2.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ConfigError, match="positive definite"):
-        default_config(model__elasticity="voigt", model__elasticity_voigt=bad)
+        default_config(model__elasticity_voigt=bad)

@@ -7,6 +7,7 @@ import inspect
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -137,5 +138,14 @@ def test_traced_span_names_resolve():
     # a rename in the package would silently zero the metric reading the name
     names = _traced_names()
     assert len(names) >= 19
+    assert {"fem.Quadrature.reaction_matrix", "state.System.step_cahn_hilliard",
+            "optimize.ControlProblem.cost", "io.read_fld"} <= names
     missing = sorted(n for n in names if not _wrapped_by_tracer(n))
     assert missing == []
+
+
+def test_splu_users_bind_splu():
+    # the tracer rebinds ``splu`` in these modules; a module that no longer
+    # imports it stops a traced run
+    for layer in _load_tracing().SPLU_USERS:
+        assert importlib.import_module(f"tumoropt.{layer}").splu is scipy.sparse.linalg.splu

@@ -11,7 +11,8 @@ from tumoropt.config import default_config, load_config
 from tumoropt.state import (SPLU_OPTIONS, ControlBounds, PreconditionError,
                             SolverError, StateSnapshot, TimestepError)
 
-from conftest import coefficients_at, interior_controls, make_system, tumour_ic
+from conftest import (OffFactor, coefficients_at, interior_controls, make_system,
+                      tumour_ic)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -252,8 +253,6 @@ def test_empty_control_bounds_rejected(name):
     # clipped() into an empty box gave controls that is_admissible() rejects
     with pytest.raises(PreconditionError, match=f"bounds for {name} are empty"):
         ControlBounds(**{f"{name}_lo": 1.0, f"{name}_hi": 0.0})
-    with pytest.raises(PreconditionError, match=f"bounds for {name} are empty"):
-        ControlBounds(**{f"{name}_lo": np.array([0.0, 1.0]), f"{name}_hi": 0.5})
 
 
 def test_trajectories_bit_identical(rng):
@@ -407,9 +406,9 @@ def test_advance_builds_only_the_factored_matrices(monkeypatch):
     cfg = default_config(grid__nx=6, grid__ny=6)
     sysd = cfg.build_system()
     phi0, sig0 = cfg.initial_fields(sysd)
-    u0 = sysd.solve_elasticity(phi0)
-    snap = StateSnapshot(phi=phi0, mu=sysd.chemical_potential(phi0, sig0, u0),
-                         sigma=sig0, u=u0, t=0.0)
+    coef = coefficients_at(sysd, phi0)
+    snap = StateSnapshot(phi=phi0, mu=None, sigma=sig0, u=sysd.solve_elasticity(phi0),
+                         t=0.0)
     built = []
     init = compressed._cs_matrix.__init__
 
@@ -418,7 +417,8 @@ def test_advance_builds_only_the_factored_matrices(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(compressed._cs_matrix, "__init__", counting)
-    sysd.advance(snap, cfg.initial_controls(sysd), 1, cfg["time.T"] / cfg["time.steps"])
+    sysd.advance(snap, coef, cfg.initial_controls(sysd), 1,
+                 cfg["time.T"] / cfg["time.steps"])
     assert len(built) <= 2, built
 
 
@@ -473,6 +473,21 @@ def test_solves_match_spsolve_on_the_natural_matrix(rng):
     assert close(sysd.solve_ch(phi, tau, b, "N"), spla.spsolve(J, b))
     assert close(sysd.solve_ch(phi, tau, b, "T"), spla.spsolve(J.T.tocsc(), b))
     assert close(sysd.solve_mass(load), spla.spsolve(sysd.M, load))
+
+
+def test_composition_and_mass_solves_are_checked(monkeypatch, rng):
+    # the sweeps' composition solves, either way, and the mass solves were
+    # unchecked; the mass factor is built with the System
+    orig = state_mod.splu
+    monkeypatch.setattr(state_mod, "splu", lambda A, **kw: OffFactor(orig(A, **kw)))
+    sysd = make_system(4, 4)
+    nn = sysd.grid.n_nodes
+    phi = tumour_ic(sysd.grid)
+    for trans in ("N", "T"):
+        with pytest.raises(SolverError, match="composition solve failed"):
+            sysd.solve_ch(phi, 0.1, rng.standard_normal(2 * nn), trans)
+    with pytest.raises(SolverError, match="mass solve failed"):
+        sysd.solve_mass(rng.standard_normal(nn))
 
 
 def test_solve_state_leaves_no_factor_in_a_reference_cycle():
