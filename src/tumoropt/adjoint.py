@@ -184,12 +184,10 @@ def reduced_gradient(system: System, traj: StateTrajectory,
     N = traj.n_steps
     if len(adj) != N + 1 or w.n_steps != N:
         raise PreconditionError("adjoint or control layout does not match the trajectory")
-    g1 = np.empty_like(w.w1)
+    reg = weights.regularisation(w)
     for j in range(N):
-        g1[:, j] = (weights.gamma1 * w.w1[:, j]
-                    + system.params.kappa * system.boundary_trace_avg(adj[j].r))
+        reg.w1[:, j] += system.params.kappa * system.boundary_trace_avg(adj[j].r)
     kp = np.array([a.kp for a in adj[:N]])
     hr = np.array([a.hr for a in adj[:N]])
-    g2 = weights.gamma2 * w.w2 - kp
-    g3 = weights.gamma3 * w.w3 + hr
-    return ReducedGradient(g1=g1, g2=g2, g3=g3, kp_integral=kp, hr_integral=hr)
+    return ReducedGradient(g1=reg.w1, g2=reg.w2 - kp, g3=reg.w3 + hr,
+                           kp_integral=kp, hr_integral=hr)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .constitutive import DrugSchedule, ModelParams, Nonlinearities
+from .constitutive import DrugSchedule, ModelConfigError, ModelParams, Nonlinearities
 from .cost import CostConfigError, CostWeights
 from .fem import ElasticityTensor
 from .grid import Grid, build_grid
@@ -133,12 +133,15 @@ class RunConfig:
             w3_lo=self["control.w3_min"], w3_hi=self["control.w3_max"])
 
     def build_params(self) -> ModelParams:
+        voigt = self["model.elasticity_voigt"]
+        if len(voigt) != 9:
+            raise ModelConfigError(f"model.elasticity_voigt takes 9 values, got {len(voigt)}")
         return ModelParams(
             beta=self["model.beta"], B=self["model.B"], kappa=self["model.kappa"],
             chi=self["model.chi"], lambda_p=self["model.lambda_p"],
             lambda_a=self["model.lambda_a"], lambda_c=self["model.lambda_c"],
             sigma_c=self["model.sigma_c"],
-            C=ElasticityTensor(np.reshape(self["model.elasticity_voigt"], (3, 3))),
+            C=ElasticityTensor(np.reshape(voigt, (3, 3))),
             bar_strain=np.asarray(self["model.bar_strain"]),
             misfit_strain=np.asarray(self["model.misfit_strain"]),
             g_load=np.asarray(self["model.g_load"]),
@@ -318,6 +321,8 @@ def _parse_spec(spec: str, kinds: dict) -> tuple[str, tuple | str]:
         raise ConfigError(f"unknown spec {spec!r}; its kind must be one of "
                           f"{', '.join(kinds)}")
     if kinds[kind] is None:
+        if not arg:
+            raise ConfigError(f"{kind} takes a path")
         return kind, arg
     try:
         values = _floats(arg)

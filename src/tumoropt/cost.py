@@ -14,7 +14,7 @@ import numpy as np
 
 from .constitutive import GaussCoefficients
 from .fem import tensor_dot, tensor_norm2
-from .state import ControlTriple, StateTrajectory, System
+from .state import ControlSpace, ControlTriple, StateTrajectory, System
 
 
 class CostConfigError(ValueError):
@@ -54,6 +54,12 @@ class CostWeights:
                 "gamma3 must be positive when gamma5 is positive (A7)")
         self.phi_Q = np.asarray(self.phi_Q, dtype=float)
         self.phi_Omega = np.asarray(self.phi_Omega, dtype=float)
+
+    def regularisation(self, w: ControlTriple) -> ControlTriple:
+        """(gamma1 w1, gamma2 w2, gamma3 w3): the L2 representative of the
+        derivative of the quadratic control terms of J1."""
+        return ControlTriple(self.gamma1 * w.w1, self.gamma2 * w.w2,
+                             self.gamma3 * w.w3, w.bounds)
 
     def target_Q(self, n: int) -> np.ndarray:
         if self.phi_Q.ndim == 2:
@@ -142,32 +148,20 @@ def running_cost_sources(system: System, weights: CostWeights, snap,
 def directional_cost_derivative(system: System, traj: StateTrajectory,
                                 w: ControlTriple, weights: CostWeights,
                                 lin_snaps, direction) -> float:
-    """Chain-rule derivative of J1 through a linearised trajectory.
-
-    Independent of the adjoint path; used to cross-check the reduced
-    gradient via the duality identity.
-    """
+    """Chain-rule derivative of J1 through a linearised trajectory: the
+    running-cost sources that the adjoint reads, paired with the linearised
+    states, plus the final-time and control terms.  It uses no adjoint
+    multiplier, so it cross-checks the reduced gradient (duality identity)."""
     tau = traj.tau
     N = traj.n_steps
-    quad = system.quad
-    p = system.params
     total = 0.0
     if weights.alpha_Omega > 0:
         d = traj.snapshot(N).phi - weights.phi_Omega
         total += weights.alpha_Omega * float(d @ (system.M @ lin_snaps[N].xi))
     for n in range(1, N + 1):
         snap = traj.snapshot(n)
-        lin = lin_snaps[n]
-        if weights.alpha_Q > 0:
-            d = snap.phi - weights.target_Q(n)
-            total += weights.alpha_Q * tau * float(d @ (system.M @ lin.xi))
-        if weights.alpha_E > 0:
-            d_phi, d_stress = stress_load_partials(system.coefficients(snap))
-            dens = (d_phi * (quad.P @ lin.xi)
-                    + tensor_dot(d_stress, p.C.apply(quad.strain(lin.v))))
-            total += weights.alpha_E * tau * quad.integrate(dens)
-    dg = system.dgamma
-    total += weights.gamma1 * tau * float(np.einsum("bj,bj,b->", w.w1, direction.w1, dg))
-    total += weights.gamma2 * tau * float(w.w2 @ direction.w2)
-    total += weights.gamma3 * tau * float(w.w3 @ direction.w3)
-    return total
+        coef = system.coefficients(snap) if weights.alpha_E > 0 else None
+        phi_source, load = running_cost_sources(system, weights, snap, coef, n)
+        total += tau * (float(phi_source @ lin_snaps[n].xi) + float(load @ lin_snaps[n].v))
+    space = ControlSpace(system.grid, system.dgamma, tau, N)
+    return total + space.inner(weights.regularisation(w), direction)

@@ -270,10 +270,19 @@ class StateTrajectory:
     def _regenerate(self, n0: int, n1: int) -> None:
         snap = self._load(n0)
         self._segment = {n0: snap}
+        self._segment.update(enumerate(
+            self._steps(snap, self.system.coefficients(snap), n0, n1), n0 + 1))
+
+    def _steps(self, snap: StateSnapshot, coef: con.GaussCoefficients,
+               n0: int, n1: int):
+        """Yield snapshots n0+1..n1 stepped from ``snap``, snapshot n0, whose
+        coefficients are ``coef``: the one stepping loop of the forward solve
+        and of regeneration, so both produce the same states bitwise."""
         for n in range(n0 + 1, n1 + 1):
-            coef = self.system.coefficients(snap)
+            if n > n0 + 1:
+                coef = self.system.coefficients(snap)
             snap = self.system.advance(snap, coef, self.controls, n, self.tau)
-            self._segment[n] = snap
+            yield snap
 
     def final(self) -> StateSnapshot:
         return self.snapshot(self.n_steps)
@@ -283,18 +292,20 @@ class StateTrajectory:
 # the discrete system
 # ---------------------------------------------------------------------------
 
-def _check_residual(what: str, A, x: np.ndarray, rhs: np.ndarray) -> None:
-    res = np.linalg.norm(A @ x - rhs)
-    if not np.isfinite(res) or res > max(LIN_RTOL * max(np.linalg.norm(rhs), 1.0), 1e-13):
-        raise SolverError(f"{what} solve failed: residual {res:.3e}")
-
-
-def _solve_permuted(lu, order: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
-    """Solve ``A x = rhs``, or ``A^T x = rhs`` if ``trans="T"``, with ``lu``
-    the factor of ``A[order][:, order]``.  Where ``order`` leaves out an
-    unknown, ``x`` is 0."""
+def _solve(what: str | None, lu, A, order: np.ndarray, rhs: np.ndarray,
+           trans: str) -> np.ndarray:
+    """Solve ``B x = rhs``, or ``B^T x = rhs`` if ``trans="T"``, with ``lu`` the
+    factor of ``A = B[order][:, order]`` (``x`` is 0 where ``order`` leaves out
+    an unknown), and check it against ``A`` by the one residual rule, naming
+    ``what``.  The chord Newton passes None: its residual checks the corrections."""
+    b = rhs[order]
+    y = lu.solve(b, trans=trans)
+    if what is not None:
+        res = np.linalg.norm((A if trans == "N" else A.T) @ y - b)
+        if not np.isfinite(res) or res > max(LIN_RTOL * max(np.linalg.norm(b), 1.0), 1e-13):
+            raise SolverError(f"{what} solve failed: residual {res:.3e}")
     x = np.zeros_like(rhs)
-    x[order] = lu.solve(rhs[order], trans=trans)
+    x[order] = y
     return x
 
 
@@ -355,7 +366,8 @@ class System:
         self._ch_indptr, self._ch_indices, self._ch_take = _permuted_pattern(
             np.concatenate([row, row + n, row, row + n]),
             np.concatenate([col, col, col + n, col + n]), self.ch_order, 2 * n)
-        self._mass_lu = splu(self._nodal_matrix(self.M.data), **SPLU_OPTIONS["spd"])
+        self._mass = self._nodal_matrix(self.M.data)
+        self._mass_lu = splu(self._mass, **SPLU_OPTIONS["spd"])
 
         A, free = fem.assemble_elasticity(grid, params.C, self.quad)
         A = A.tocoo()
@@ -406,18 +418,13 @@ class System:
                              shape=(n, n))
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        x = _solve_permuted(self._mass_lu, self.node_order, rhs, "N")
-        _check_residual("mass", self.M, x, rhs)
-        return x
+        return _solve("mass", self._mass_lu, self._mass, self.node_order, rhs, "N")
 
     # -- elasticity ----------------------------------------------------------
 
     def solve_elastic(self, load: np.ndarray) -> np.ndarray:
         """Solve the reduced elasticity system for a load vector."""
-        dofs = self.elastic_order
-        u = _solve_permuted(self._elas_lu, dofs, load, "N")
-        _check_residual("elasticity", self.A_red, u[dofs], load[dofs])
-        return u
+        return _solve("elasticity", self._elas_lu, self.A_red, self.elastic_order, load, "N")
 
     def solve_elasticity(self, phi: np.ndarray) -> np.ndarray:
         """Displacement with (C(E(u) - Ebar - phi E*), E(eta)) = (g, eta)_GN."""
@@ -449,10 +456,8 @@ class System:
         if self.params.beta > 0:
             load = load + (self.params.beta / tau) * (self.M @ prev)
         A = self.nutrient_operator(coef, tau)
-        order = self.node_order
-        x = _solve_permuted(splu(A, **SPLU_OPTIONS["spd"]), order, load, "N")
-        _check_residual("nutrient", A, x[order], load[order])
-        return x
+        return _solve("nutrient", splu(A, **SPLU_OPTIONS["spd"]), A, self.node_order,
+                      load, "N")
 
     def step_nutrient(self, sigma_prev: np.ndarray, coef: con.GaussCoefficients,
                       w1_step: np.ndarray, w3_step: float, tau: float) -> np.ndarray:
@@ -478,10 +483,8 @@ class System:
                  trans: str) -> np.ndarray:
         """Solve with the composition Jacobian at ``phi``, or its transpose if ``trans="T"``."""
         J = self.ch_jacobian(phi, tau)
-        order = self.ch_order
-        x = _solve_permuted(splu(J, **SPLU_OPTIONS["ch"]), order, rhs, trans)
-        _check_residual("composition", J if trans == "N" else J.T, x[order], rhs[order])
-        return x
+        return _solve("composition", splu(J, **SPLU_OPTIONS["ch"]), J, self.ch_order,
+                      rhs, trans)
 
     def _stationary_mu(self, phi: np.ndarray, coef: con.GaussCoefficients,
                        sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,7 +532,7 @@ class System:
                     f"corrections (residual {norm:.3e}); reduce the timestep")
             if lu is None:
                 lu = splu(self.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
-            delta = _solve_permuted(lu, self.ch_order, -res, "N")
+            delta = _solve(None, lu, None, self.ch_order, -res, "N")
             phi += delta[:phi.size]
             mu += delta[phi.size:]
             res = residual(phi, mu)
@@ -582,10 +585,9 @@ class System:
         coef = self.coefficients(snap)
         snap.mu, _ = self._stationary_mu(snap.phi, coef, snap.sigma)
         traj.append(snap)
-        for n in range(1, n_steps + 1):
-            if n > 1:
-                coef = self.coefficients(snap)
-            snap = self.advance(snap, coef, controls, n, tau)
+        steps = traj._steps(snap, coef, 0, n_steps)
+        del coef  # the loop alone holds step 1's coefficients, so they are freed after it
+        for snap in steps:
             traj.append(snap)
         return traj
 

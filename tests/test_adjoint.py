@@ -6,6 +6,7 @@ import tumoropt.state as state_mod
 from tumoropt.adjoint import reduced_gradient, solve_adjoint
 from tumoropt.cost import CostWeights, directional_cost_derivative, eval_cost
 from tumoropt.linearized import solve_linearised
+from tumoropt.optimize import GATE_EPS, GATE_RTOL
 from tumoropt.state import PreconditionError, SolverError
 
 from conftest import OffFactor, interior_controls, make_system, tumour_ic
@@ -120,32 +121,35 @@ def test_sweep_nutrient_solves_are_checked(monkeypatch, rng):
         solve_adjoint(sysd, traj, w, _weights(sysd.grid), "transpose")
 
 
-def test_duality_identity_transpose(rng):
-    sysd, _, _, w, traj, T, N = _setup()
+def _check_duality(rng, n_directions, **sys_kwargs):
+    # the tangent derivative matches the adjoint gradient to round-off (the
+    # duality identity), and central differences of J1 independently of
+    # the adjoint, with the gate's half-width and bound
+    sysd, phi0, sig0, w, traj, T, N = _setup(**sys_kwargs)
     weights = _weights(sysd.grid)
     space = sysd.control_space(T, N)
     adj = solve_adjoint(sysd, traj, w, weights, "transpose")
     grad = reduced_gradient(sysd, traj, adj, w, weights)
-    for _ in range(4):
+
+    def j1(wc):
+        return eval_cost(sysd, sysd.solve_state(wc, phi0, sig0, T, N), wc, weights)[1]
+
+    for _ in range(n_directions):
         h = space.random_direction(rng)
         lin = solve_linearised(sysd, traj, w, h)
         dj_lin = directional_cost_derivative(sysd, traj, w, weights, lin, h)
         dj_adj = space.inner(grad.direction(), h)
         assert abs(dj_lin - dj_adj) <= 1e-10 * max(1.0, abs(dj_lin))
+        fd = (j1(w.axpy(GATE_EPS, h)) - j1(w.axpy(-GATE_EPS, h))) / (2 * GATE_EPS)
+        assert abs(fd - dj_lin) <= GATE_RTOL * max(abs(fd), abs(dj_lin))
+
+
+def test_duality_identity_transpose(rng):
+    _check_duality(rng, 4)
 
 
 def test_duality_identity_beta_zero(rng):
-    sysd, _, _, w, traj, T, N = _setup(beta=0.0, B=0.5, kappa=1.0)
-    weights = _weights(sysd.grid)
-    space = sysd.control_space(T, N)
-    adj = solve_adjoint(sysd, traj, w, weights, "transpose")
-    grad = reduced_gradient(sysd, traj, adj, w, weights)
-    for _ in range(3):
-        h = space.random_direction(rng)
-        lin = solve_linearised(sysd, traj, w, h)
-        dj_lin = directional_cost_derivative(sysd, traj, w, weights, lin, h)
-        dj_adj = space.inner(grad.direction(), h)
-        assert abs(dj_lin - dj_adj) <= 1e-10 * max(1.0, abs(dj_lin))
+    _check_duality(rng, 3, beta=0.0, B=0.5, kappa=1.0)
 
 
 def test_gradient_vs_finite_differences_transpose(rng):

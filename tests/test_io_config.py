@@ -192,6 +192,8 @@ def test_non_finite_or_non_positive_value_rejected(line):
                  "region", id="region-three"),
     pytest.param("model.weight_region = 0.6,0.4,0,1", "region", id="region-x-inverted"),
     pytest.param("model.weight_region = 0,1,0.5,0.5", "region", id="region-y-empty"),
+    pytest.param("model.elasticity_voigt = 1,2,3,4,5,6,7,8", "elasticity_voigt",
+                 id="elasticity_voigt-eight"),
 ])
 def test_model_value_of_wrong_shape_rejected(lines, name):
     # each parsed before and then failed in the solver, or ran with a
@@ -314,7 +316,8 @@ def test_multi_row_initial_field_rejected(tmp_path, key):
 @pytest.mark.parametrize("key, spec", [
     ("control.initial", "zero"), ("control.initial", "constant:0.5,0.4"),
     ("ic.phi", "forward-final"), ("ic.sigma", "constnat:1.0"),
-    ("cost.phi_Q", "circle:0.5,0.5,0.3"), ("cost.phi_Omega", "constant:nan")])
+    ("cost.phi_Q", "circle:0.5,0.5,0.3"), ("cost.phi_Omega", "constant:nan"),
+    ("ic.phi", "file:")])
 def test_spec_refused_at_parse_time(key, spec):
     # a typo parsed and failed only after the System was built
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} = {re.escape(spec)}: "):

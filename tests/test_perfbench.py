@@ -86,6 +86,10 @@ def test_traced_gradient_chain_repeats_its_counters(storage, tmp_path):
     first, second = (tracing.layer_metrics(tracer.spans, uid, sysd.grid.n_nodes)
                      for uid in units)
     assert first["splu.ch.count"] > 0 and first["cost.eval_calls"] == 1
+    # regen_ratio counts the advance spans under solve_state: one per step,
+    # which a traced stepping helper between them would hide
+    if storage == "disk":
+        assert first["state.advance_calls"] / first["state.regen_ratio"] == cfg["time.steps"]
     assert {k: first[k] for k in tracing.COUNTERS} == {k: second[k] for k in tracing.COUNTERS}
 
 

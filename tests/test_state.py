@@ -387,14 +387,17 @@ def test_checkpointed_trajectory_matches_memory(tmp_path, rng):
     phi0 = tumour_ic(grid)
     sig0 = np.full(grid.n_nodes, 1.0)
     mem = sysd.solve_state(w, phi0, sig0, T, N)
-    disk = sysd.solve_state(w, phi0, sig0, T, N, storage="disk", every=3,
-                            directory=tmp_path)
-    for n in range(N + 1):
-        assert np.allclose(disk.snapshot(n).phi, mem.snapshot(n).phi,
-                           rtol=0, atol=1e-14)
-        assert np.allclose(disk.snapshot(n).sigma, mem.snapshot(n).sigma,
-                           rtol=0, atol=1e-14)
-    assert (tmp_path / "index.txt").exists()
+    # regeneration steps through the loop of the forward solve, so every
+    # stored and regenerated snapshot equals the in-memory one bitwise,
+    # whichever way the trajectory is walked
+    for name, walk in (("forwards", range(N + 1)), ("backwards", range(N, -1, -1))):
+        disk = sysd.solve_state(w, phi0, sig0, T, N, storage="disk", every=3,
+                                directory=tmp_path / name)
+        for n in walk:
+            a, b = disk.snapshot(n), mem.snapshot(n)
+            for field in ("phi", "mu", "sigma", "u", "t"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (name, n, field)
+        assert (tmp_path / name / "index.txt").exists()
 
 
 def test_advance_builds_only_the_factored_matrices(monkeypatch):
@@ -511,3 +514,46 @@ def test_solve_state_leaves_no_factor_in_a_reference_cycle():
         gc.garbage.clear()
         gc.enable()
     assert not held
+
+
+def _final_fields(nx: int, steps: int, T: float = 0.05) -> dict:
+    """Final (phi, sigma, u) of the default config on an nx x nx grid, with
+    u as one row per node, zero at x < Lx/4: next to the corners where the
+    clamped edge meets a free one, its max difference converges at order
+    0.6-0.8 only."""
+    cfg = default_config(grid__nx=nx, grid__ny=nx, time__T=T, time__steps=steps)
+    sysd = cfg.build_system()
+    phi0, sig0 = cfg.initial_fields(sysd)
+    snap = sysd.solve_state(cfg.initial_controls(sysd), phi0, sig0, T, steps).final()
+    away = sysd.grid.nodes[:, 0] >= 0.25 * sysd.grid.Lx
+    return {"phi": snap.phi, "sigma": snap.sigma,
+            "u": np.where(away[:, None], snap.u.reshape(-1, 2), 0.0)}
+
+
+def _finest_pair_orders(levels: list[dict], take) -> dict:
+    """log2 of the ratio of the last two successive max differences per
+    field; ``take(k)`` indexes level k+1 at the nodes of level k."""
+    diffs = {name: [] for name in levels[0]}
+    for k, (coarse, fine) in enumerate(zip(levels, levels[1:])):
+        for name, d in diffs.items():
+            d.append(np.abs(coarse[name] - fine[name][take(k)]).max())
+    return {name: float(np.log2(d[-2] / d[-1])) for name, d in diffs.items()}
+
+
+def test_forward_solve_converges_at_its_design_order():
+    # Richardson self-convergence (Roache, AIAA J. 36, 1998) of the final
+    # state: successive max differences shrink by 2^p, p = 2 in space
+    # (bilinear elements) and 1 in time (implicit Euler).  The bands come
+    # from 12 initial tumours and constant controls at these grids, where the
+    # finest-pair orders were 1.93-2.20 (phi), 1.96-2.01 (sigma) and
+    # 1.69-1.89 (u) in space, 1.02-1.30, 0.96-1.19 and 1.01-1.31 in time.
+    def coarse_nodes(k):
+        line = 2 * np.arange(8 * 2 ** k + 1)
+        return (line[None, :] + line[:, None] * (line[-1] + 1)).ravel()
+
+    orders = _finest_pair_orders([_final_fields(nx, 8) for nx in (8, 16, 32, 64)],
+                                 coarse_nodes)
+    assert all(1.7 <= p <= 2.3 for p in orders.values()), orders
+    orders = _finest_pair_orders([_final_fields(16, n) for n in (4, 8, 16, 32)],
+                                 lambda k: slice(None))
+    assert all(0.8 <= p <= 1.4 for p in orders.values()), orders
