@@ -120,8 +120,7 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
     if mode not in ADJOINT_MODES:
         raise PreconditionError(f"unknown adjoint mode {mode!r}")
     N = traj.n_steps
-    if w.n_steps != N:
-        raise PreconditionError("control layout does not match the trajectory")
+    system.check_control_layout(w, N)
     weights.validate_shapes(system.grid.n_nodes, N)
     if len(traj) != N + 1:
         raise SolverError("trajectory is incomplete")
@@ -182,8 +181,9 @@ def reduced_gradient(system: System, traj: StateTrajectory,
     trajectory is not walked, so a disk-checkpointed one is not regenerated.
     """
     N = traj.n_steps
-    if len(adj) != N + 1 or w.n_steps != N:
-        raise PreconditionError("adjoint or control layout does not match the trajectory")
+    system.check_control_layout(w, N)
+    if len(adj) != N + 1:
+        raise PreconditionError("adjoint layout does not match the trajectory")
     reg = weights.regularisation(w)
     for j in range(N):
         reg.w1[:, j] += system.params.kappa * system.boundary_trace_avg(adj[j].r)

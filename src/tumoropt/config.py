@@ -19,7 +19,8 @@ from .constitutive import DrugSchedule, ModelConfigError, ModelParams, Nonlinear
 from .cost import CostConfigError, CostWeights
 from .fem import ElasticityTensor
 from .grid import Grid, build_grid
-from .state import ControlBounds, ControlTriple, PreconditionError, System
+from .state import (ControlBounds, ControlTriple, InputRuleError, PreconditionError,
+                    System, check_time_grid)
 
 
 class ConfigError(ValueError):
@@ -102,6 +103,13 @@ SCHEMA: dict[str, tuple] = {
     "experiment.vtk_every": (int, 0),
 }
 
+# the config key of each run input whose rule the library checks: the
+# control bounds, which build_bounds reads from here, and the time grid
+BOUND_KEYS = {"w1_lo": "control.w1_min", "w1_hi": "control.w1_max",
+              "w2_lo": "control.w2_min", "w2_hi": "control.w2_max",
+              "w3_lo": "control.w3_min", "w3_hi": "control.w3_max"}
+INPUT_KEYS = {**BOUND_KEYS, "T": "time.T", "n_steps": "time.steps"}
+
 EXPERIMENTS = ("forward", "frechet", "gradcheck", "optimize", "gamma_sweep")
 
 # the spec kinds of a key, each with the number of values it takes: None
@@ -127,10 +135,7 @@ class RunConfig:
                           self["grid.Ly"], self["grid.dirichlet"])
 
     def build_bounds(self) -> ControlBounds:
-        return ControlBounds(
-            w1_lo=self["control.w1_min"], w1_hi=self["control.w1_max"],
-            w2_lo=self["control.w2_min"], w2_hi=self["control.w2_max"],
-            w3_lo=self["control.w3_min"], w3_hi=self["control.w3_max"])
+        return ControlBounds(**{name: self[key] for name, key in BOUND_KEYS.items()})
 
     def build_params(self) -> ModelParams:
         voigt = self["model.elasticity_voigt"]
@@ -145,7 +150,7 @@ class RunConfig:
             bar_strain=np.asarray(self["model.bar_strain"]),
             misfit_strain=np.asarray(self["model.misfit_strain"]),
             g_load=np.asarray(self["model.g_load"]),
-            supply_bound=self.build_bounds().sup_w1())
+            supply_bound=self["control.w1_max"])
 
     def build_nonlinearities(self) -> Nonlinearities:
         return Nonlinearities(well_scale=self["model.well_scale"],
@@ -242,8 +247,6 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg["time.steps"] < 1 or cfg["time.T"] <= 0:
-        raise ConfigError("time block needs steps >= 1 and T > 0")
     if cfg["experiment.name"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg['experiment.name']!r}; "
                           f"expected one of {EXPERIMENTS}")
@@ -263,25 +266,18 @@ def validate_config(cfg: RunConfig) -> None:
     if not cfg["experiment.gamma4_values"]:
         raise ConfigError("experiment.gamma4_values must list at least one "
                           "cost.gamma4 weight (A7)")
-    # constraint rules of the parameter and weight bundles, raised eagerly so
-    # errors carry the config context rather than a solver stack
+    # the library's rules on the time grid, the model and the control box,
+    # raised eagerly so errors name the config key rather than a solver stack
     try:
+        check_time_grid(cfg["time.T"], cfg["time.steps"])
         cfg.build_grid()
         params = cfg.build_params()
         cfg.build_nonlinearities()
-        bounds = cfg.build_bounds()
+        cfg.build_bounds().check(params)
+    except InputRuleError as exc:
+        raise ConfigError(f"{INPUT_KEYS[exc.name]}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
-    # the nutrient stays in [0, cap] only for supplies w1 >= 0 and dosages
-    # 0 <= w3 <= lambda_c cap
-    for name in bounds.negative_lower_bounds():
-        key = f"control.{name}_min"
-        raise ConfigError(f"{key} = {cfg[key]!r} must be >= 0 to keep the "
-                          f"nutrient non-negative (A5)")
-    w3_cap = params.lambda_c * params.nutrient_cap
-    if cfg["control.w3_max"] > w3_cap:
-        raise ConfigError(f"control.w3_max = {cfg['control.w3_max']!r} exceeds "
-                          f"lambda_c * nutrient_cap = {w3_cap!r} (A5)")
     try:
         CostWeights(**_scalar_weights(cfg))
     except CostConfigError as exc:

@@ -171,13 +171,9 @@ class Nonlinearities:
         r = np.asarray(r, dtype=float)
         return np.full_like(r, -self.well_scale)
 
-    # ramps -----------------------------------------------------------------
-    f = staticmethod(smoothstep)
-    f_prime = staticmethod(smoothstep_prime)
-    h = staticmethod(smoothstep)
-    h_prime = staticmethod(smoothstep_prime)
-    k = staticmethod(smoothstep)
-    k_prime = staticmethod(smoothstep_prime)
+    # ramps: f, h and k are one function ------------------------------------
+    f = h = k = staticmethod(smoothstep)
+    f_prime = h_prime = k_prime = staticmethod(smoothstep_prime)
 
     # stress response ---------------------------------------------------------
     def g_of(self, stress_v):
@@ -279,59 +275,55 @@ class GaussCoefficients:
     phi: np.ndarray
     stress: np.ndarray      # W_E = C(E - Ebar - phi E*), Voigt
     w_phi: np.ndarray       # W_phi = -W_E : E*, the composition derivative of W
-    f: np.ndarray
-    df: np.ndarray
+    ramp: np.ndarray        # f(phi) = h(phi) = k(phi)
+    dramp: np.ndarray
     g: np.ndarray
     dg: np.ndarray          # tensor derivative of g at W_E, Voigt
-    h: np.ndarray
-    dh: np.ndarray
-    k: np.ndarray
-    dk: np.ndarray
     n: np.ndarray           # stress weight n(x, phi) of the cost
     dn: np.ndarray
 
     # growth source U = lambda_p sigma f(phi) g(W_E) - (lambda_a + w2) k(phi)
     def growth(self, sigma, w2):
         p = self.params
-        return p.lambda_p * sigma * self.f * self.g - (p.lambda_a + w2) * self.k
+        return p.lambda_p * sigma * self.ramp * self.g - (p.lambda_a + w2) * self.ramp
 
     @property
     def growth_dsigma(self):
-        return self.params.lambda_p * self.f * self.g
+        return self.params.lambda_p * self.ramp * self.g
 
     def growth_dstress(self, sigma):
         """dU/dW_E in Voigt form; pairs with a stress increment by tensor_dot."""
-        return (self.params.lambda_p * sigma * self.f)[..., None] * self.dg
+        return (self.params.lambda_p * sigma * self.ramp)[..., None] * self.dg
 
     def growth_dphi(self, sigma, w2):
         """dU/dphi at fixed strain: through f, k and the misfit stress -C E*."""
         p = self.params
         misfit_stress = p.C.apply(p.misfit_strain)
-        return (p.lambda_p * sigma * (self.df * self.g
-                                      - self.f * tensor_dot(self.dg, misfit_stress))
-                - (p.lambda_a + w2) * self.dk)
+        return (p.lambda_p * sigma * (self.dramp * self.g
+                                      - self.ramp * tensor_dot(self.dg, misfit_stress))
+                - (p.lambda_a + w2) * self.dramp)
 
     @property
     def growth_dw2(self):
-        return -self.k
+        return -self.ramp
 
     # nutrient source S = h(phi)(w3 - lambda_c sigma) + B(sigma_c - sigma);
     # it is affine in sigma, so an implicit step loads S(0, w3) and moves
     # -dS/dsigma into the operator
     def nutrient(self, sigma, w3):
         p = self.params
-        return self.h * (w3 - p.lambda_c * sigma) + p.B * (p.sigma_c - sigma)
+        return self.ramp * (w3 - p.lambda_c * sigma) + p.B * (p.sigma_c - sigma)
 
     @property
     def nutrient_dsigma(self):
-        return -(self.params.lambda_c * self.h + self.params.B)
+        return -(self.params.lambda_c * self.ramp + self.params.B)
 
     def nutrient_dphi(self, sigma, w3):
-        return self.dh * (w3 - self.params.lambda_c * sigma)
+        return self.dramp * (w3 - self.params.lambda_c * sigma)
 
     @property
     def nutrient_dw3(self):
-        return self.h
+        return self.ramp
 
 
 def gauss_coefficients(params: ModelParams, nl: Nonlinearities, xy, phi,
@@ -342,8 +334,5 @@ def gauss_coefficients(params: ModelParams, nl: Nonlinearities, xy, phi,
     return GaussCoefficients(
         params=params, phi=phi, stress=stress_v,
         w_phi=-tensor_dot(stress_v, params.misfit_strain),
-        f=nl.f(phi), df=nl.f_prime(phi),
-        g=nl.g_of(stress_v), dg=nl.g_grad(stress_v),
-        h=nl.h(phi), dh=nl.h_prime(phi),
-        k=nl.k(phi), dk=nl.k_prime(phi),
+        ramp=nl.f(phi), dramp=nl.f_prime(phi), g=nl.g_of(stress_v), dg=nl.g_grad(stress_v),
         n=nl.n_of(xy, phi), dn=nl.n_prime(xy, phi))

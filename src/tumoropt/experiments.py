@@ -58,7 +58,7 @@ def _setup(cfg: cfgmod.RunConfig):
     system = cfg.build_system()
     phi0, sigma0 = cfg.initial_fields(system)
     controls = cfg.initial_controls(system)
-    return system, phi0, sigma0, controls
+    return system, phi0, sigma0, controls, cfg["time.T"], cfg["time.steps"]
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +66,7 @@ def _setup(cfg: cfgmod.RunConfig):
 # ---------------------------------------------------------------------------
 
 def run_forward(cfg, outdir: Path, seed: int):
-    system, phi0, sigma0, controls = _setup(cfg)
-    T, N = cfg["time.T"], cfg["time.steps"]
+    system, phi0, sigma0, controls, T, N = _setup(cfg)
     cap = system.params.nutrient_cap
     tol = 1e-8
     space = system.control_space(T, N)
@@ -127,8 +126,7 @@ def run_forward(cfg, outdir: Path, seed: int):
 
 
 def run_frechet(cfg, outdir: Path, seed: int):
-    system, phi0, sigma0, controls = _setup(cfg)
-    T, N = cfg["time.T"], cfg["time.steps"]
+    system, phi0, sigma0, controls, T, N = _setup(cfg)
     space = system.control_space(T, N)
     rng = np.random.default_rng(seed)
     b = controls.bounds
@@ -152,8 +150,7 @@ def run_frechet(cfg, outdir: Path, seed: int):
 
 
 def run_gradcheck(cfg, outdir: Path, seed: int):
-    system, phi0, sigma0, controls = _setup(cfg)
-    T, N = cfg["time.T"], cfg["time.steps"]
+    system, phi0, sigma0, controls, T, N = _setup(cfg)
     weights = cfg.build_weights(system)
     problem = ControlProblem(system, phi0, sigma0, T, N, weights)
 
@@ -185,8 +182,7 @@ def _save_controls(path: Path, w) -> None:
 
 
 def run_optimize(cfg, outdir: Path, seed: int):
-    system, phi0, sigma0, controls = _setup(cfg)
-    T, N = cfg["time.T"], cfg["time.steps"]
+    system, phi0, sigma0, controls, T, N = _setup(cfg)
     weights = cfg.build_weights(system)
     problem = ControlProblem(system, phi0, sigma0, T, N, weights)
     report = optimize(problem, controls, _optimize_options(cfg, seed))
@@ -232,8 +228,7 @@ def run_optimize(cfg, outdir: Path, seed: int):
 
 
 def run_gamma_sweep(cfg, outdir: Path, seed: int):
-    system, phi0, sigma0, controls = _setup(cfg)
-    T, N = cfg["time.T"], cfg["time.steps"]
+    system, phi0, sigma0, controls, T, N = _setup(cfg)
     tau = T / N
     base_weights = cfg.build_weights(system)
     opts = _optimize_options(cfg, seed)

@@ -30,13 +30,12 @@ class LinearisedSnapshot:
 def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
                      direction: ControlTriple) -> list[LinearisedSnapshot]:
     """Propagate a control direction through the linearised dynamics."""
-    grid = system.grid
     N = traj.n_steps
-    if w.n_steps != N or direction.w1.shape != (grid.n_boundary_nodes, N):
-        raise PreconditionError("direction layout does not match the trajectory")
+    system.check_control_layout(w, N)
+    system.check_control_layout(direction, N)
     tau = traj.tau
     p, nl, quad = system.params, system.nl, system.quad
-    nn = grid.n_nodes
+    nn = system.grid.n_nodes
 
     xi = np.zeros(nn)
     psi = np.zeros(nn)

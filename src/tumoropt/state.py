@@ -37,6 +37,14 @@ class PreconditionError(ValueError):
     pass
 
 
+class InputRuleError(PreconditionError):
+    """A run input breaks its rule; ``name`` is the input."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name = name
+
+
 # SuperLU settings per operator kind: the one factorization policy of the
 # forward, linearised and adjoint sweeps, all of which factor and solve
 # through ``System`` below.  Every factored matrix is handed over already in
@@ -89,15 +97,18 @@ class ControlBounds:
             if getattr(self, name + "_lo") > getattr(self, name + "_hi"):
                 raise PreconditionError(f"control bounds for {name} are empty (min > max)")
 
-    def negative_lower_bounds(self) -> list[str]:
-        """w1 and w3 where their lower bound is negative: the nutrient stays
-        non-negative only for w1, w3 >= 0 (A5).  Checking the box rather than
-        the values lets a finite-difference step leave it."""
-        return [name for name in ("w1", "w3")
-                if getattr(self, name + "_lo") < 0]
-
-    def sup_w1(self) -> float:
-        return float(max(abs(self.w1_lo), abs(self.w1_hi)))
+    def check(self, params: ModelParams) -> None:
+        """The box rule (A5): the nutrient stays in [0, cap] if 0 <= w1 <= supply_bound
+        and 0 <= w3 <= lambda_c cap; it checks the box, which FD steps may leave."""
+        w3_cap = params.lambda_c * params.nutrient_cap
+        for name, ok, rule in (
+                ("w1_lo", self.w1_lo >= 0, ">= 0"), ("w3_lo", self.w3_lo >= 0, ">= 0"),
+                ("w1_hi", self.w1_hi <= params.supply_bound,
+                 f"<= supply_bound = {params.supply_bound!r}"),
+                ("w3_hi", self.w3_hi <= w3_cap, f"<= lambda_c * nutrient_cap = {w3_cap!r}")):
+            if not ok:
+                raise InputRuleError(name, f"must be {rule} to keep the nutrient in "
+                                     f"[0, cap] (A5); got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -113,10 +124,6 @@ class ControlTriple:
     w2: np.ndarray
     w3: np.ndarray
     bounds: ControlBounds = field(default_factory=ControlBounds)
-
-    @property
-    def n_steps(self) -> int:
-        return self.w2.size
 
     def copy(self) -> "ControlTriple":
         return ControlTriple(self.w1.copy(), self.w2.copy(), self.w3.copy(), self.bounds)
@@ -178,6 +185,14 @@ class ControlSpace:
         w2 = rng.uniform(size=n) * (bounds.w2_hi - bounds.w2_lo) + bounds.w2_lo
         w3 = rng.uniform(size=n) * (bounds.w3_hi - bounds.w3_lo) + bounds.w3_lo
         return ControlTriple(w1, w2, w3, bounds)
+
+
+def check_time_grid(T: float, n_steps: int) -> None:
+    """The time rule: a run covers 0 < T < inf in n_steps >= 1 steps."""
+    if not 0 < T < np.inf:
+        raise InputRuleError("T", f"must be > 0 and finite; got {T!r}")
+    if n_steps < 1:
+        raise InputRuleError("n_steps", f"must be >= 1; got {n_steps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +432,15 @@ class System:
         return sp.csc_matrix((data.take(self._nd_take), self._nd_indices, self._nd_indptr),
                              shape=(n, n))
 
+    def check_control_layout(self, controls: ControlTriple, n_steps: int) -> None:
+        """The layout rule: w1 has shape (n_boundary_nodes, n_steps), w2 and
+        w3 shape (n_steps,)."""
+        want = ((self.grid.n_boundary_nodes, n_steps), (n_steps,), (n_steps,))
+        got = tuple(np.shape(w) for w in (controls.w1, controls.w2, controls.w3))
+        if got != want:
+            raise PreconditionError(f"control shapes (w1, w2, w3) {got} do not match "
+                                    f"the run's {want}")
+
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         return _solve("mass", self._mass_lu, self._mass, self.node_order, rhs, "N")
 
@@ -571,12 +595,9 @@ class System:
         """Run the forward model; returns the full trajectory.  mu0 is the
         Newton start of a step, the stationary relation at the initial state."""
         self.check_initial_nutrient(sigma0)
-        for name in controls.bounds.negative_lower_bounds():
-            raise PreconditionError(
-                f"control bound {name}_lo must be >= 0 to keep the nutrient "
-                f"non-negative (A5)")
-        if controls.n_steps != n_steps or controls.w1.shape != (self.grid.n_boundary_nodes, n_steps):
-            raise PreconditionError("control layout does not match the run")
+        check_time_grid(T, n_steps)
+        controls.bounds.check(self.params)
+        self.check_control_layout(controls, n_steps)
         tau = T / n_steps
         traj = StateTrajectory(self, controls, tau, n_steps, storage=storage,
                                every=every, directory=directory)

@@ -169,7 +169,8 @@ def test_bad_value_reported():
 
 
 @pytest.mark.parametrize("line", ["cost.gamma4 = nan", "model.kappa = nan",
-                                  "time.T = inf", "opt.tol = nan", "opt.tol = 0",
+                                  "time.T = inf", "time.T = 0", "time.T = -1",
+                                  "time.steps = 0", "opt.tol = nan", "opt.tol = 0",
                                   "opt.max_iterations = 0", "experiment.trials = 0",
                                   "experiment.vtk_every = -1"])
 def test_non_finite_or_non_positive_value_rejected(line):

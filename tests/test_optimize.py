@@ -39,7 +39,8 @@ def test_cost_zero_at_attained_targets():
                        misfit_strain=np.zeros(3), lambda_c=0.0)
     grid = sysd.grid
     N, T = 4, 0.4
-    w = sysd.zero_controls(N)
+    # lambda_c = 0 admits no dosage w3 > 0 (A5)
+    w = sysd.zero_controls(N, ControlBounds(w3_hi=0.0))
     w.w1[:] = sysd.params.sigma_c
     phi0 = np.full(grid.n_nodes, 0.3)
     sig0 = np.full(grid.n_nodes, sysd.params.sigma_c)

@@ -7,8 +7,11 @@ import scipy.sparse.linalg as spla
 
 import tumoropt.state as state_mod
 from tumoropt import fem
+from tumoropt.adjoint import reduced_gradient, solve_adjoint
 from tumoropt.config import default_config, load_config
-from tumoropt.state import (SPLU_OPTIONS, ControlBounds, PreconditionError,
+from tumoropt.cost import CostWeights
+from tumoropt.linearized import solve_linearised
+from tumoropt.state import (SPLU_OPTIONS, ControlBounds, ControlTriple, PreconditionError,
                             SolverError, StateSnapshot, TimestepError)
 
 from conftest import (OffFactor, coefficients_at, interior_controls, make_system,
@@ -221,7 +224,8 @@ def test_constant_trajectory_with_zero_sources():
     sysd = make_system(6, 6, lambda_p=0.0, lambda_a=0.0, chi=0.0,
                        misfit_strain=np.zeros(3), lambda_c=0.0)
     grid = sysd.grid
-    w = sysd.zero_controls(5)
+    # lambda_c = 0 admits no dosage w3 > 0 (A5)
+    w = sysd.zero_controls(5, ControlBounds(w3_hi=0.0))
     w.w1[:] = sysd.params.sigma_c
     phi0 = np.full(grid.n_nodes, 0.25)
     sig0 = np.full(grid.n_nodes, sysd.params.sigma_c)
@@ -288,6 +292,54 @@ def test_negative_lower_control_bound_rejected(name):
     nn = sysd.grid.n_nodes
     with pytest.raises(PreconditionError, match=f"{name}_lo must be >= 0.*A5"):
         sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(nn), 1.0, 8)
+
+
+# each ran before with sigma above cap or backwards in time, or stopped with
+# a bare ZeroDivisionError or IndexError
+@pytest.mark.parametrize("nx, N, T, bounds, w3_steps, rule", [
+    pytest.param(4, 3, 1.0, dict(w3_hi=5.0), 3,
+                 r"^w3_hi must be <= lambda_c \* nutrient_cap = 1\.0 .*\(A5\)", id="w3_hi-5"),
+    pytest.param(8, 8, 1.0, dict(w1_hi=2.0), 8,
+                 r"^w1_hi must be <= supply_bound = 1\.0 .*\(A5\)", id="w1_hi-2"),
+    pytest.param(4, 3, -1.0, {}, 3, r"^T must be > 0", id="T-negative"),
+    pytest.param(4, 3, 0.0, {}, 3, r"^T must be > 0", id="T-zero"),
+    pytest.param(4, 0, 1.0, {}, 0, r"^n_steps must be >= 1", id="steps-zero"),
+    pytest.param(4, 3, 1.0, {}, 4, r"^control shapes .*\(4,\)\) do not match", id="w3-long"),
+    pytest.param(4, 3, 1.0, {}, 2, r"^control shapes .*\(2,\)\) do not match", id="w3-short"),
+])
+def test_run_inputs_refused_before_stepping(monkeypatch, nx, N, T, bounds, w3_steps, rule):
+    sysd = make_system(nx, nx)
+    b = ControlBounds(**bounds)
+    w = sysd.zero_controls(N, b)
+    w.w1[:], w.w3 = b.w1_hi, np.full(w3_steps, b.w3_hi)
+
+    def advance(*args):
+        raise AssertionError("System.advance ran before the inputs were checked")
+
+    monkeypatch.setattr(state_mod.System, "advance", advance)
+    nn = sysd.grid.n_nodes
+    with pytest.raises(PreconditionError, match=rule):
+        sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(nn), T, N)
+
+
+@pytest.mark.parametrize("sweep", ["linearised-w", "linearised-direction", "adjoint",
+                                   "gradient"])
+def test_sweeps_refuse_w3_of_wrong_length(sweep):
+    # each stopped before with an IndexError inside the sweep, or returned a
+    # g3 one step short
+    sysd = make_system(4, 4)
+    N = 3
+    w = interior_controls(sysd, N)
+    traj = sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(sysd.grid.n_nodes), 0.3, N)
+    weights = CostWeights()
+    adj = solve_adjoint(sysd, traj, w, weights)
+    bad = ControlTriple(w.w1, w.w2, w.w3[:-1], w.bounds)
+    calls = {"linearised-w": lambda: solve_linearised(sysd, traj, bad, w),
+             "linearised-direction": lambda: solve_linearised(sysd, traj, w, bad),
+             "adjoint": lambda: solve_adjoint(sysd, traj, bad, weights),
+             "gradient": lambda: reduced_gradient(sysd, traj, adj, bad, weights)}
+    with pytest.raises(PreconditionError, match=r"^control shapes .*\(2,\)\) do not match"):
+        calls[sweep]()
 
 
 def test_solver_failure_names_its_step(monkeypatch):
