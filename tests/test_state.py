@@ -294,8 +294,8 @@ def test_negative_lower_control_bound_rejected(name):
         sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(nn), 1.0, 8)
 
 
-# each ran before with sigma above cap or backwards in time, or stopped with
-# a bare ZeroDivisionError or IndexError
+# unchecked, each runs with sigma above cap or backwards in time, or stops
+# with a bare ZeroDivisionError or IndexError
 @pytest.mark.parametrize("nx, N, T, bounds, w3_steps, rule", [
     pytest.param(4, 3, 1.0, dict(w3_hi=5.0), 3,
                  r"^w3_hi must be <= lambda_c \* nutrient_cap = 1\.0 .*\(A5\)", id="w3_hi-5"),
@@ -325,7 +325,7 @@ def test_run_inputs_refused_before_stepping(monkeypatch, nx, N, T, bounds, w3_st
 @pytest.mark.parametrize("sweep", ["linearised-w", "linearised-direction", "adjoint",
                                    "gradient"])
 def test_sweeps_refuse_w3_of_wrong_length(sweep):
-    # each stopped before with an IndexError inside the sweep, or returned a
+    # unchecked, each stops with an IndexError inside the sweep, or returns a
     # g3 one step short
     sysd = make_system(4, 4)
     N = 3
