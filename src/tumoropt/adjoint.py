@@ -27,7 +27,7 @@ from scipy.sparse.linalg import splu  # noqa: F401 - unused; perfbench/tracing.p
 
 from .cost import CostWeights, running_cost_sources
 from .state import (ControlTriple, PreconditionError, SolverError,
-                    StateTrajectory, System)
+                    StateTrajectory, StepFactors, System)
 
 ADJOINT_MODES = ("transpose", "continuous")
 
@@ -82,20 +82,21 @@ def _composition_rhs(system: System, coef, sigma_gp, w2, w3,
 
 
 def _composition_multipliers(system: System, phi: np.ndarray, rhs1: np.ndarray,
-                             tau: float) -> tuple[np.ndarray, np.ndarray]:
+                             factors: StepFactors) -> tuple[np.ndarray, np.ndarray]:
     """(p, q) from the transposed composition Jacobian at ``phi``."""
     nn = system.grid.n_nodes
-    sol = system.solve_ch(phi, tau, np.concatenate([rhs1, np.zeros(nn)]), "T")
+    sol = system.solve_ch(phi, factors, np.concatenate([rhs1, np.zeros(nn)]), "T")
     # the adjoint block is the Jacobian transpose conjugated by
     # diag(I, -I): solve J^T (x, y) = (rhs1, 0), then (p, q) = (x, -y)
     return sol[:nn], -sol[nn:]
 
 
-def _nutrient_multiplier(system: System, coef, p, q, r_next, tau: float) -> np.ndarray:
+def _nutrient_multiplier(system: System, coef, p, q, r_next,
+                         factors: StepFactors) -> np.ndarray:
     """Nutrient multiplier of a step whose lagged coefficients are ``coef``."""
     quad = system.quad
     load = quad.pair(coef.growth_dsigma * (quad.P @ p)) + system.params.chi * (system.M @ q)
-    return system.solve_nutrient(coef, tau, load, r_next)
+    return system.solve_nutrient(coef, factors, load, r_next)
 
 
 def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeights,
@@ -107,7 +108,7 @@ def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeigh
     q_T = system.solve_mass(system.K @ p_T)
     r_T = np.zeros(system.grid.n_nodes)
     if system.params.beta == 0:
-        r_T = _nutrient_multiplier(system, coef, p_T, q_T, r_T, tau)
+        r_T = _nutrient_multiplier(system, coef, p_T, q_T, r_T, traj.factors)
     _, cost_load = running_cost_sources(system, weights, snap, coef, N)
     s_T = system.solve_elastic(_displacement_source(
         system, coef, system.quad.P @ snap.sigma, p_T, q_T, cost_load))
@@ -151,9 +152,9 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
                 rhs1 = cost_phi + _composition_rhs(system, coef, sig_gp, w.w2[n],
                                                    w.w3[n], nxt, tau)
             p, q = _composition_multipliers(system, snap.phi,
-                                            rhs1 + system.BcT @ s, tau)
+                                            rhs1 + system.BcT @ s, traj.factors)
             coef = system.coefficients(traj.snapshot(j))
-            r = _nutrient_multiplier(system, coef, p, q, nxt.r, tau)
+            r = _nutrient_multiplier(system, coef, p, q, nxt.r, traj.factors)
         else:
             snap = traj.snapshot(j)
             coef = system.coefficients(snap)
@@ -161,8 +162,8 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
             cost_phi, cost_load = running_cost_sources(system, weights, snap, coef, j)
             rhs1 = (cost_phi + system.BcT @ nxt.s
                     + _composition_rhs(system, coef, sig_gp, w.w2[j], w.w3[j], nxt, tau))
-            p, q = _composition_multipliers(system, snap.phi, rhs1, tau)
-            r = _nutrient_multiplier(system, coef, p, q, nxt.r, tau)
+            p, q = _composition_multipliers(system, snap.phi, rhs1, traj.factors)
+            r = _nutrient_multiplier(system, coef, p, q, nxt.r, traj.factors)
             s = system.solve_elastic(_displacement_source(
                 system, coef, sig_gp, p, q, cost_load))
 

@@ -19,7 +19,7 @@ from .constitutive import DrugSchedule, ModelConfigError, ModelParams, Nonlinear
 from .cost import CostConfigError, CostWeights
 from .fem import ElasticityTensor
 from .grid import Grid, build_grid
-from .state import (ControlBounds, ControlTriple, InputRuleError, PreconditionError,
+from .state import (ControlBounds, ControlTriple, InputRuleError,
                     System, check_time_grid)
 
 
@@ -108,7 +108,8 @@ SCHEMA: dict[str, tuple] = {
 BOUND_KEYS = {"w1_lo": "control.w1_min", "w1_hi": "control.w1_max",
               "w2_lo": "control.w2_min", "w2_hi": "control.w2_max",
               "w3_lo": "control.w3_min", "w3_hi": "control.w3_max"}
-INPUT_KEYS = {**BOUND_KEYS, "T": "time.T", "n_steps": "time.steps"}
+INPUT_KEYS = {**BOUND_KEYS, "T": "time.T", "n_steps": "time.steps",
+              "phi0": "ic.phi", "sigma0": "ic.sigma"}
 
 EXPERIMENTS = ("forward", "frechet", "gradcheck", "optimize", "gamma_sweep")
 
@@ -168,19 +169,13 @@ class RunConfig:
                             lifetime=self["drug.lifetime"])
 
     def initial_fields(self, system: System) -> tuple[np.ndarray, np.ndarray]:
-        grid = system.grid
-        fields = []
-        for key in ("ic.phi", "ic.sigma"):
-            field = generate_field(self[key], grid)
-            if field.shape != (grid.n_nodes,):
-                raise ConfigError(f"{key} = {self[key]}: an initial field needs one "
-                                  f"value per node, got shape {field.shape}")
-            fields.append(field)
-        phi0, sigma0 = fields
+        phi0, sigma0 = (generate_field(self[key], system.grid)
+                        for key in ("ic.phi", "ic.sigma"))
         try:
-            system.check_initial_nutrient(sigma0)
-        except PreconditionError as exc:
-            raise ConfigError(f"ic.sigma = {self['ic.sigma']}: {exc}") from exc
+            system.check_initial_state(phi0, sigma0)
+        except InputRuleError as exc:
+            key = INPUT_KEYS[exc.name]
+            raise ConfigError(f"{key} = {self[key]}: {exc}") from exc
         return phi0, sigma0
 
     def initial_controls(self, system: System) -> ControlTriple:

@@ -53,7 +53,7 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
         load = (p.kappa * (system.Mb @ system.embed_boundary(direction.w1[:, j]))
                 + quad.pair(coef.nutrient_dphi(sig_gp, w.w3[j]) * xi_gp
                             + coef.nutrient_dw3 * direction.w3[j]))
-        psi_new = system.solve_nutrient(coef, tau, load, psi)
+        psi_new = system.solve_nutrient(coef, traj.factors, load, psi)
 
         # composition direction: exact derivative of the Newton-converged step
         strain_v = quad.strain(out[-1].v)
@@ -67,7 +67,7 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
         rhs2 = (quad.pair(nl.psi2_second(coef.phi) * xi_gp)
                 - p.chi * (system.M @ psi_new)
                 - (system.BcT @ out[-1].v - system.misfit_curvature * (system.M @ xi)))
-        sol = system.solve_ch(cur.phi, tau, np.concatenate([rhs1, rhs2]), "N")
+        sol = system.solve_ch(cur.phi, traj.factors, np.concatenate([rhs1, rhs2]), "N")
         xi = sol[:nn]
         eta = sol[nn:]
         psi = psi_new

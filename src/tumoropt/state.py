@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import constitutive as con
 from . import fem, io
 from .constitutive import ModelParams, Nonlinearities
+from .factor import splu
 from .grid import Grid, nested_dissection
 
 
@@ -45,25 +45,7 @@ class InputRuleError(PreconditionError):
         self.name = name
 
 
-# SuperLU settings per operator kind: the one factorization policy of the
-# forward, linearised and adjoint sweeps, all of which factor and solve
-# through ``System`` below.  Every factored matrix is handed over already in
-# the nested-dissection order of its grid (``grid.nested_dissection``), so
-# SuperLU keeps the natural column order.
-#
-# ``ch``: the nonsymmetric Cahn-Hilliard block Jacobian, with partial pivoting.
-# ``spd``: the nutrient operator K + kappa Mb + P^T diag(w (lambda_c h + B)) P
-# + (beta/tau) M, the mass matrix and the reduced elasticity block.  They are
-# symmetric positive definite (A1 keeps every nutrient term non-negative and
-# one of them definite; C is positive definite and the pinned edge removes
-# the rigid motions), so diagonal pivots in a symmetric ordering are stable.
-SPLU_OPTIONS = {
-    "ch": dict(permc_spec="NATURAL"),
-    "spd": dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True)),
-}
-
-# Relative residual tolerance of every nutrient and elasticity solve.
+# Relative residual tolerance of every linear solve.
 LIN_RTOL = 1e-10
 
 # A composition step has converged when its residual norm is at most
@@ -73,8 +55,10 @@ LIN_RTOL = 1e-10
 NEWTON_RTOL = 1e-12
 NEWTON_MAX_CORRECTIONS = 50
 
-# A composition Newton correction that leaves more than this fraction of the
-# residual norm makes the next correction refactor the Jacobian.
+# A correction with a reused factor that leaves more than this fraction of
+# the residual norm ends its iteration: a composition Newton step refactors
+# the Jacobian at its iterate, and a linear solve stops, at round-off or,
+# failing the residual rule, to factor its operator.
 CHORD_CONTRACTION = 0.1
 
 
@@ -208,8 +192,25 @@ class StateSnapshot:
     t: float
 
 
+@dataclass(frozen=True)
+class StepFactors:
+    """The constant parts of the step operators at time step ``tau``,
+    factored once per trajectory: ``ch`` factors J(0) = [[M/tau, K], [-K, M]],
+    the composition Jacobian at phi = 0 (psi1''(0) = 0), in ``ch_order``, and
+    ``nutrient`` factors ``nutrient_fixed`` = K + kappa Mb + (beta/tau + B) M,
+    the nutrient operator without its lambda_c h(phi) term, in ``node_order``;
+    ``nutrient_fixed`` itself is in the node numbering."""
+    tau: float
+    ch: object
+    nutrient: object
+    nutrient_fixed: sp.csc_matrix
+
+
 class StateTrajectory:
     """Time-ordered snapshots with optional disk checkpointing.
+
+    It owns the step factors of its time step, which the forward solve,
+    regeneration and the linearised and adjoint sweeps over it share.
 
     With ``storage='disk'`` only every ``every``-th snapshot (plus the last)
     is written to ``directory``; intermediate states are regenerated on demand
@@ -232,6 +233,7 @@ class StateTrajectory:
         self.system = system
         self.controls = controls
         self.tau = tau
+        self.factors = system.step_factors(tau)
         self.n_steps = n_steps
         self.storage = storage
         self.every = every
@@ -296,7 +298,7 @@ class StateTrajectory:
         for n in range(n0 + 1, n1 + 1):
             if n > n0 + 1:
                 coef = self.system.coefficients(snap)
-            snap = self.system.advance(snap, coef, self.controls, n, self.tau)
+            snap = self.system.advance(snap, coef, self.controls, n, self.factors)
             yield snap
 
     def final(self) -> StateSnapshot:
@@ -307,21 +309,57 @@ class StateTrajectory:
 # the discrete system
 # ---------------------------------------------------------------------------
 
+def _within_rule(res: float, rhs: np.ndarray) -> bool:
+    """The one residual rule of every linear solve."""
+    return bool(np.isfinite(res)
+                and res <= max(LIN_RTOL * max(np.linalg.norm(rhs), 1.0), 1e-13))
+
+
 def _solve(what: str | None, lu, A, order: np.ndarray, rhs: np.ndarray,
            trans: str) -> np.ndarray:
     """Solve ``B x = rhs``, or ``B^T x = rhs`` if ``trans="T"``, with ``lu`` the
     factor of ``A = B[order][:, order]`` (``x`` is 0 where ``order`` leaves out
-    an unknown), and check it against ``A`` by the one residual rule, naming
-    ``what``.  The chord Newton passes None: its residual checks the corrections."""
+    an unknown), and check it against ``A`` by the residual rule, naming
+    ``what``.  None skips the check, for a correction that the caller checks."""
     b = rhs[order]
     y = lu.solve(b, trans=trans)
     if what is not None:
         res = np.linalg.norm((A if trans == "N" else A.T) @ y - b)
-        if not np.isfinite(res) or res > max(LIN_RTOL * max(np.linalg.norm(b), 1.0), 1e-13):
+        if not _within_rule(res, b):
             raise SolverError(f"{what} solve failed: residual {res:.3e}")
     x = np.zeros_like(rhs)
     x[order] = y
     return x
+
+
+def _iterate(what: str, lu, order: np.ndarray, apply, rhs: np.ndarray, trans: str,
+             assemble, kind: str) -> np.ndarray:
+    """Solve ``C x = rhs``, or ``C^T x = rhs`` if ``trans="T"``, where
+    ``apply(v)`` is ``C v`` (``C^T v``) and ``lu`` factors a constant part of
+    ``C`` in the order ``order``, by the chord corrections x += lu^-1 (rhs - C x)
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+    ch. 5).  They go on while each leaves less than CHORD_CONTRACTION of the
+    residual norm and end at the first that does not, which at round-off is
+    where the residual stops falling; the smaller residual is kept.  If it
+    breaks the residual rule, ``C`` itself, ``assemble()`` in ``order``, is
+    factored by the policy of ``kind``, and that solve is checked, naming
+    ``what``."""
+    x = _solve(None, lu, None, order, rhs, trans)
+    res = rhs - apply(x)
+    norm = np.linalg.norm(res)
+    while True:
+        y = x + _solve(None, lu, None, order, res, trans)
+        res_y = rhs - apply(y)
+        norm_y = np.linalg.norm(res_y)
+        contracted = norm_y < CHORD_CONTRACTION * norm  # False at 0 and NaN
+        if norm_y < norm:
+            x, res, norm = y, res_y, norm_y
+        if not contracted:
+            break
+    if _within_rule(norm, rhs):
+        return x
+    A = assemble()
+    return _solve(what, splu(A, kind=kind), A, order, rhs, trans)
 
 
 def _permuted_pattern(row: np.ndarray, col: np.ndarray, order: np.ndarray, n: int):
@@ -346,7 +384,8 @@ class System:
 
     Owns the assembled operators and the constant mass and elasticity
     factors.  It alone builds, factors, solves with and checks the step
-    operators, for the forward, linearised and adjoint sweeps alike.
+    operators, for the forward, linearised and adjoint sweeps alike; the
+    factors of their constant parts belong to a trajectory (``StepFactors``).
 
     ``M``, ``K`` and every vector are in the grid's node numbering.  The
     matrices it factors are numbered in the nested-dissection order of the
@@ -382,7 +421,7 @@ class System:
             np.concatenate([row, row + n, row, row + n]),
             np.concatenate([col, col, col + n, col + n]), self.ch_order, 2 * n)
         self._mass = self._nodal_matrix(self.M.data)
-        self._mass_lu = splu(self._mass, **SPLU_OPTIONS["spd"])
+        self._mass_lu = splu(self._mass, kind="spd", sized=False)
 
         A, free = fem.assemble_elasticity(grid, params.C, self.quad)
         A = A.tocoo()
@@ -391,7 +430,7 @@ class System:
         m = self.elastic_order.size
         indptr, indices, take = _permuted_pattern(A.row, A.col, self.elastic_order, 2 * n)
         self.A_red = sp.csc_matrix((A.data[take], indices, indptr), shape=(m, m))
-        self._elas_lu = splu(self.A_red, **SPLU_OPTIONS["spd"])
+        self._elas_lu = splu(self.A_red, kind="spd", sized=False)
         self.Bc = fem.assemble_coupling_phi_to_strain(grid, params.C,
                                                       params.misfit_strain, self.quad)
         self.BcT = self.Bc.T
@@ -409,6 +448,7 @@ class System:
     # -- helpers ------------------------------------------------------------
 
     def control_space(self, T: float, n_steps: int) -> ControlSpace:
+        check_time_grid(T, n_steps)
         return ControlSpace(self.grid, self.dgamma, T / n_steps, n_steps)
 
     def embed_boundary(self, values_b: np.ndarray) -> np.ndarray:
@@ -473,22 +513,34 @@ class System:
             data += (self.params.beta / tau) * self.M.data
         return self._nodal_matrix(data)
 
-    def solve_nutrient(self, coef: con.GaussCoefficients, tau: float,
+    def step_factors(self, tau: float) -> StepFactors:
+        """Factor the constant parts of the step operators at time step ``tau``."""
+        n, quad = self.grid.n_nodes, self.quad
+        fixed = self._nutrient_fixed + (self.params.beta / tau + self.params.B) * self.M.data
+        return StepFactors(tau, splu(self.ch_jacobian(np.zeros(n), tau), kind="ch"),
+                           splu(self._nodal_matrix(fixed), kind="spd"),
+                           sp.csc_matrix((fixed, quad.indices, quad.indptr), shape=(n, n)))
+
+    def solve_nutrient(self, coef: con.GaussCoefficients, factors: StepFactors,
                        load: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Solve with the nutrient operator; ``prev`` is the previous level's
         field, entering the right-hand side as (beta/tau) M prev."""
+        tau, quad, fixed = factors.tau, self.quad, factors.nutrient_fixed
         if self.params.beta > 0:
             load = load + (self.params.beta / tau) * (self.M @ prev)
-        A = self.nutrient_operator(coef, tau)
-        return _solve("nutrient", splu(A, **SPLU_OPTIONS["spd"]), A, self.node_order,
-                      load, "N")
+        # the operator less its constant part: P^T diag(w lambda_c h) P
+        varying = -coef.nutrient_dsigma - self.params.B
+        return _iterate("nutrient", factors.nutrient, self.node_order,
+                        lambda v: fixed @ v + quad.pair(varying * (quad.P @ v)), load, "N",
+                        lambda: self.nutrient_operator(coef, tau), "spd")
 
     def step_nutrient(self, sigma_prev: np.ndarray, coef: con.GaussCoefficients,
-                      w1_step: np.ndarray, w3_step: float, tau: float) -> np.ndarray:
+                      w1_step: np.ndarray, w3_step: float,
+                      factors: StepFactors) -> np.ndarray:
         """One implicit nutrient step with the coefficients of the previous state."""
         load = (self.params.kappa * (self.Mb @ self.embed_boundary(w1_step))
                 + self.quad.pair(coef.nutrient(0.0, w3_step)))
-        return self.solve_nutrient(coef, tau, load, sigma_prev)
+        return self.solve_nutrient(coef, factors, load, sigma_prev)
 
     # -- composition step ------------------------------------------------------
 
@@ -503,51 +555,61 @@ class System:
         return sp.csc_matrix((blocks.take(self._ch_take), self._ch_indices, self._ch_indptr),
                              shape=(n, n))
 
-    def solve_ch(self, phi: np.ndarray, tau: float, rhs: np.ndarray,
+    def solve_ch(self, phi: np.ndarray, factors: StepFactors, rhs: np.ndarray,
                  trans: str) -> np.ndarray:
         """Solve with the composition Jacobian at ``phi``, or its transpose if ``trans="T"``."""
-        J = self.ch_jacobian(phi, tau)
-        return _solve("composition", splu(J, **SPLU_OPTIONS["ch"]), J, self.ch_order,
-                      rhs, trans)
+        tau, quad, M, K = factors.tau, self.quad, self.M, self.K
+        n = phi.size
+        curvature = self.nl.psi1_second(quad.P @ phi)
+
+        def apply(v):
+            # J = J(0) - [[0, 0], [S, 0]], S = P^T diag(w psi1''(P phi)) P
+            x, y = v[:n], v[n:]
+            if trans == "N":
+                return np.concatenate([M @ x / tau + K @ y,
+                                       M @ y - K @ x - quad.pair(curvature * (quad.P @ x))])
+            return np.concatenate([M @ x / tau - K @ y - quad.pair(curvature * (quad.P @ y)),
+                                   K @ x + M @ y])
+
+        return _iterate("composition", factors.ch, self.ch_order, apply, rhs, trans,
+                        lambda: self.ch_jacobian(phi, tau), "ch")
 
     def _stationary_mu(self, phi: np.ndarray, coef: con.GaussCoefficients,
-                       sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """mu with M mu = K phi + (psi1'(phi), .) + lagged, the stationary
-        relation, and the lagged load (psi2'(phi_lag) + W_phi, .) - chi M sigma
-        of the composition and displacement in ``coef``."""
+                       sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """mu with M mu = K phi + convex + lagged, the stationary relation, the
+        lagged load (psi2'(phi_lag) + W_phi, .) - chi M sigma of the
+        composition and displacement in ``coef``, and convex = (psi1'(phi), .)."""
         quad = self.quad
         lagged = (quad.pair(self.nl.psi2_prime(coef.phi)) + quad.pair(coef.w_phi)
                   - self.params.chi * (self.M @ sigma))
-        mu = self.solve_mass(self.K @ phi + quad.pair(self.nl.psi1_prime(quad.P @ phi))
-                             + lagged)
-        return mu, lagged
+        convex = quad.pair(self.nl.psi1_prime(quad.P @ phi))
+        return self.solve_mass(self.K @ phi + convex + lagged), lagged, convex
 
     def step_cahn_hilliard(self, phi_prev: np.ndarray, coef: con.GaussCoefficients,
                            sigma_new: np.ndarray, w2_step: float,
-                           tau: float) -> tuple[np.ndarray, np.ndarray]:
+                           factors: StepFactors) -> tuple[np.ndarray, np.ndarray]:
         """One implicit step of the composition pair (phi, mu).
 
         The convex potential part is implicit and solved by Newton; the
         concave part, the growth source and the elastic coupling use the
         coefficients of the previous composition and displacement.
         """
-        nl, quad = self.nl, self.quad
+        nl, quad, tau = self.nl, self.quad, factors.tau
         FU = quad.pair(coef.growth(quad.P @ sigma_new, w2_step))
         phi = phi_prev.copy()
-        mu, lagged = self._stationary_mu(phi, coef, sigma_new)
+        mu, lagged, convex = self._stationary_mu(phi, coef, sigma_new)
 
-        def residual(phi, mu):
+        def residual(phi, mu, convex):
             r1 = self.M @ (phi - phi_prev) / tau + self.K @ mu - FU
-            r2 = (self.M @ mu - self.K @ phi
-                  - quad.pair(nl.psi1_prime(quad.P @ phi)) - lagged)
+            r2 = self.M @ mu - self.K @ phi - convex - lagged
             return np.concatenate([r1, r2])
 
-        res = residual(phi, mu)
+        res = residual(phi, mu, convex)
         norm = np.linalg.norm(res)
         scale = max(norm, np.linalg.norm(FU), 1.0)
-        # chord Newton: the Jacobian is factored at the step's start state and
-        # refactored only at an iterate where a correction contracted too little
-        lu = None
+        # chord Newton from the trajectory's factor of J(0), refactored only at
+        # an iterate where a correction contracted too little
+        lu = factors.ch
         corrections = 0
         while not norm <= NEWTON_RTOL * scale:  # NaN-safe
             if corrections >= NEWTON_MAX_CORRECTIONS:
@@ -555,11 +617,11 @@ class System:
                     f"composition Newton did not converge in {corrections} "
                     f"corrections (residual {norm:.3e}); reduce the timestep")
             if lu is None:
-                lu = splu(self.ch_jacobian(phi, tau), **SPLU_OPTIONS["ch"])
+                lu = splu(self.ch_jacobian(phi, tau), kind="ch")
             delta = _solve(None, lu, None, self.ch_order, -res, "N")
             phi += delta[:phi.size]
             mu += delta[phi.size:]
-            res = residual(phi, mu)
+            res = residual(phi, mu, quad.pair(nl.psi1_prime(quad.P @ phi)))
             if not np.isfinite(res).all():
                 raise TimestepError("composition Newton diverged (non-finite residual)")
             corrections += 1
@@ -571,16 +633,16 @@ class System:
     # -- trajectory --------------------------------------------------------------
 
     def advance(self, snap: StateSnapshot, coef: con.GaussCoefficients,
-                controls: ControlTriple, n: int, tau: float) -> StateSnapshot:
+                controls: ControlTriple, n: int, factors: StepFactors) -> StateSnapshot:
         """Advance snapshot n-1, whose coefficients are ``coef``, to n using
         control column n-1; a solver failure is re-raised with the step and
         its time in front."""
-        j = n - 1
+        j, tau = n - 1, factors.tau
         try:
             sigma = self.step_nutrient(snap.sigma, coef, controls.w1[:, j],
-                                       float(controls.w3[j]), tau)
+                                       float(controls.w3[j]), factors)
             phi, mu = self.step_cahn_hilliard(snap.phi, coef, sigma,
-                                              float(controls.w2[j]), tau)
+                                              float(controls.w2[j]), factors)
             if not (np.isfinite(phi).all() and np.isfinite(sigma).all()):
                 raise SolverError("non-finite state")
             u = self.solve_elasticity(phi)
@@ -594,7 +656,7 @@ class System:
                     directory=None) -> StateTrajectory:
         """Run the forward model; returns the full trajectory.  mu0 is the
         Newton start of a step, the stationary relation at the initial state."""
-        self.check_initial_nutrient(sigma0)
+        self.check_initial_state(phi0, sigma0)
         check_time_grid(T, n_steps)
         controls.bounds.check(self.params)
         self.check_control_layout(controls, n_steps)
@@ -604,7 +666,7 @@ class System:
         snap = StateSnapshot(phi=phi0.copy(), mu=None, sigma=sigma0.copy(),
                              u=self.solve_elasticity(phi0), t=0.0)
         coef = self.coefficients(snap)
-        snap.mu, _ = self._stationary_mu(snap.phi, coef, snap.sigma)
+        snap.mu = self._stationary_mu(snap.phi, coef, snap.sigma)[0]
         traj.append(snap)
         steps = traj._steps(snap, coef, 0, n_steps)
         del coef  # the loop alone holds step 1's coefficients, so they are freed after it
@@ -612,13 +674,17 @@ class System:
             traj.append(snap)
         return traj
 
-    def check_initial_nutrient(self, sigma0: np.ndarray) -> None:
-        """The nutrient band rule (A5): an initial nutrient lies in [0, cap]."""
+    def check_initial_state(self, phi0: np.ndarray, sigma0: np.ndarray) -> None:
+        """The initial-state rules: phi0 and sigma0 hold one value per node,
+        and the nutrient band rule (A5), sigma0 in [0, cap]."""
+        for name, field in (("phi0", phi0), ("sigma0", sigma0)):
+            if np.shape(field) != (self.grid.n_nodes,):
+                raise InputRuleError(name, f"needs one value per node, shape "
+                                     f"({self.grid.n_nodes},); got shape {np.shape(field)}")
         cap = self.params.nutrient_cap
         if sigma0.min() < -1e-12 or sigma0.max() > cap + 1e-12:
-            raise PreconditionError(
-                f"initial nutrient must lie in [0, {cap}] (A5); "
-                f"got [{sigma0.min():.3g}, {sigma0.max():.3g}]")
+            raise InputRuleError("sigma0", f"must lie in [0, {cap}] (A5); "
+                                 f"got [{sigma0.min():.3g}, {sigma0.max():.3g}]")
 
     # -- diagnostics ----------------------------------------------------------
 

@@ -35,13 +35,14 @@ def interior_controls(system, n_steps, bounds=None):
 
 
 class OffFactor:
-    """A factor whose solutions are off by a relative 1e-6."""
+    """A factor whose solutions are three times too large: its corrections
+    do not contract, so a solve with it, iterated or not, fails."""
 
     def __init__(self, lu):
         self.lu = lu
 
     def solve(self, b, trans="N"):
-        return self.lu.solve(b, trans=trans) * (1 + 1e-6)
+        return self.lu.solve(b, trans=trans) * 3.0
 
 
 @pytest.fixture

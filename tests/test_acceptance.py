@@ -249,12 +249,13 @@ def test_criterion_10_oracle_equivalence():
 
     u0 = system.solve_elasticity(phi0)
     coef = coefficients_at(system, phi0)
-    sig_new = system.step_nutrient(sig0, coef, w1, 0.3, tau)
+    factors = system.step_factors(tau)
+    sig_new = system.step_nutrient(sig0, coef, w1, 0.3, factors)
     sig_ref = dense_nutrient_step(grid, system.params, system.nl, sig0, phi0,
                                   w1, 0.3, tau)
     err_sigma = float(np.abs(sig_new - sig_ref).max())
 
-    phi1, mu1 = system.step_cahn_hilliard(phi0, coef, sig_new, 0.25, tau)
+    phi1, mu1 = system.step_cahn_hilliard(phi0, coef, sig_new, 0.25, factors)
     phi_ref, mu_ref = dense_ch_step(grid, system.params, system.nl, phi0, u0,
                                     sig_new, 0.25, tau)
     err_ch = float(max(np.abs(phi1 - phi_ref).max(), np.abs(mu1 - mu_ref).max()))

@@ -67,14 +67,15 @@ def test_terminal_condition_exact():
 
 
 def test_transpose_solve_matches_factored_transpose(rng):
-    # the adjoint solves with J^T through the factor of J (trans="T");
-    # ch_jacobian numbers J by ch_order, the reference is in the natural order
+    # the adjoint solves with J^T through the trajectory's factor of J(0)
+    # (trans="T"); ch_jacobian numbers J by ch_order, the reference is in the
+    # natural order
     sysd, _, _, _, traj, _, _ = _setup(nx=12, ny=12)
     phi = traj.final().phi
     natural = np.argsort(sysd.ch_order)
     J = sysd.ch_jacobian(phi, traj.tau)[natural][:, natural]
     b = rng.standard_normal(J.shape[0])
-    x = sysd.solve_ch(phi, traj.tau, b, "T")
+    x = sysd.solve_ch(phi, traj.factors, b, "T")
     ref = splu(J.T.tocsc()).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -86,8 +87,9 @@ def _three_step_forward(sysd, N=3, T=0.3):
 
 
 def test_every_sweep_factors_through_the_system(monkeypatch, rng):
-    # the forward, linearised and adjoint sweeps build and factor their step
-    # operators in state.py only, one CH and one nutrient factor per level
+    # the forward solve factors the constant parts of the step operators
+    # once, in state.py, for its trajectory: one CH and one nutrient factor,
+    # and the linearised and adjoint sweeps over it factor nothing
     sysd = make_system(4, 4, chi=0.1)  # beta > 0
     nn = sysd.grid.n_nodes
     sizes = []
@@ -99,22 +101,26 @@ def test_every_sweep_factors_through_the_system(monkeypatch, rng):
 
     monkeypatch.setattr(state_mod, "splu", counting)
     w, traj, space = _three_step_forward(sysd)
+    assert (sizes.count(2 * nn), sizes.count(nn)) == (1, 1)
     solve_linearised(sysd, traj, w, space.random_direction(rng))
     solve_adjoint(sysd, traj, w, _weights(sysd.grid), "transpose")
-    assert (sizes.count(2 * nn), sizes.count(nn)) == (9, 9)
+    assert (sizes.count(2 * nn), sizes.count(nn)) == (1, 1)
 
 
 def test_sweep_nutrient_solves_are_checked(monkeypatch, rng):
-    # a nutrient factor whose solutions are off by a relative 1e-6 fails the
-    # residual check in the linearised and adjoint sweeps, not only in the
-    # forward; the composition factors stay exact, as their solves are checked
-    # too
+    # nutrient factors whose corrections do not contract fail the residual
+    # check in the forward, linearised and adjoint sweeps, also after the
+    # iterated solve falls back to factoring the operator itself; the
+    # composition factors stay exact, as their solves are checked too
     sysd = make_system(4, 4, chi=0.1)
     w, traj, space = _three_step_forward(sysd)
     orig = state_mod.splu
     nn = sysd.grid.n_nodes
     monkeypatch.setattr(state_mod, "splu", lambda A, **kw: (
         OffFactor(orig(A, **kw)) if A.shape[0] == nn else orig(A, **kw)))
+    with pytest.raises(SolverError, match="nutrient solve failed"):
+        _three_step_forward(sysd)
+    traj.factors = sysd.step_factors(traj.tau)
     with pytest.raises(SolverError, match="nutrient solve failed"):
         solve_linearised(sysd, traj, w, space.random_direction(rng))
     with pytest.raises(SolverError, match="nutrient solve failed"):
@@ -150,6 +156,25 @@ def test_duality_identity_transpose(rng):
 
 def test_duality_identity_beta_zero(rng):
     _check_duality(rng, 3, beta=0.0, B=0.5, kappa=1.0)
+
+
+def test_duality_identity_beta_zero_without_boundary_exchange(rng):
+    # with beta = kappa = 0 the trajectory's constant nutrient part is K + B M,
+    # definite by A1, where K + kappa Mb alone would be singular
+    _check_duality(rng, 2, beta=0.0, B=0.5, kappa=0.0)
+
+
+def test_stiff_well_converges_through_the_refactor_fallback(monkeypatch, rng):
+    # a steep well makes J(0) contract too little: the forward steps refactor
+    # at their iterates and the sweeps' solves factor their operators, and
+    # the duality identity and the FD gate still hold
+    sizes = []
+    orig = state_mod.splu
+    monkeypatch.setattr(state_mod, "splu",
+                        lambda A, **kw: sizes.append(A.shape[0]) or orig(A, **kw))
+    _check_duality(rng, 1, well_scale=50.0)
+    nn = 6 * 5  # the nodes of _setup's 5 x 4 grid
+    assert sizes.count(2 * nn) > 3  # one J(0) factor per trajectory, 3 trajectories
 
 
 def test_gradient_vs_finite_differences_transpose(rng):

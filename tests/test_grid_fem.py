@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from tumoropt import fem
 from tumoropt.config import default_config
 from tumoropt.grid import GridConfigError, build_grid, nested_dissection
-from tumoropt.state import SPLU_OPTIONS
+from tumoropt.factor import SPLU_OPTIONS
 
 from conftest import coefficients_at, make_system, tumour_ic
 from oracles import dense_boundary_mass, dense_mass_stiffness
@@ -253,6 +253,9 @@ def test_pattern_assembly_matches_sparse_products(rng, beta):
     # the factored operators are numbered by the system's nested-dissection orders
     o, q = sysd.node_order, sysd.ch_order
     assert _rel(sysd.nutrient_operator(coef, tau), A_ref[o][:, o]) <= 1e-14
+    # the trajectory's constant part of it leaves out lambda_c h(phi) only
+    fixed = K_ref + p.kappa * sysd.Mb + (beta / tau + p.B) * M_ref
+    assert _rel(sysd.step_factors(tau).nutrient_fixed, fixed) <= 1e-14
 
     S_ref = _form(quad, nl.psi1_second(quad.P @ phi))
     J_ref = sp.bmat([[M_ref / tau, K_ref], [-(K_ref + S_ref), M_ref]], format="csc")[q][:, q]

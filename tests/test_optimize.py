@@ -12,7 +12,7 @@ from tumoropt.optimize import (ZERO_TOL, ControlProblem, GateError,
                                projection_formula_check, prox_project,
                                sparsity_report, stationarity_residual,
                                zero_intervals)
-from tumoropt.state import ControlBounds, ControlTriple
+from tumoropt.state import ControlBounds, ControlTriple, InputRuleError
 
 from conftest import interior_controls, make_system, tumour_ic
 from oracles import gauss_points, interp, strain_at
@@ -30,6 +30,14 @@ def _problem(nx=6, ny=6, N=8, T=0.5, weights=None, **sys_kwargs):
                               phi_Q=np.full(grid.n_nodes, -0.45),
                               phi_Omega=np.full(grid.n_nodes, -0.45))
     return ControlProblem(sysd, phi0, sig0, T, N, weights)
+
+
+def test_control_problem_refuses_zero_steps():
+    # control_space divided by n_steps first, a bare ZeroDivisionError
+    sysd = make_system(4, 4)
+    nn = sysd.grid.n_nodes
+    with pytest.raises(InputRuleError, match=r"^n_steps must be >= 1"):
+        ControlProblem(sysd, np.zeros(nn), np.ones(nn), 1.0, 0, CostWeights())
 
 
 # -- cost evaluation -----------------------------------------------------------

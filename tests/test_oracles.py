@@ -28,7 +28,8 @@ def test_elasticity_matches_dense_oracle():
 def test_nutrient_step_matches_dense_oracle(rng):
     sysd, grid, phi0, sig0 = _setup()
     w1 = rng.uniform(0.2, 0.9, size=grid.n_boundary_nodes)
-    sig = sysd.step_nutrient(sig0, coefficients_at(sysd, phi0), w1, 0.3, 0.05)
+    sig = sysd.step_nutrient(sig0, coefficients_at(sysd, phi0), w1, 0.3,
+                             sysd.step_factors(0.05))
     sig_ref = dense_nutrient_step(grid, sysd.params, sysd.nl, sig0, phi0,
                                   w1, 0.3, 0.05)
     assert np.abs(sig - sig_ref).max() < 1e-8
@@ -40,7 +41,7 @@ def test_nutrient_step_beta_zero_matches_dense_oracle(rng):
     phi0 = tumour_ic(grid)
     w1 = rng.uniform(0.2, 0.9, size=grid.n_boundary_nodes)
     sig = sysd.step_nutrient(np.zeros(grid.n_nodes), coefficients_at(sysd, phi0),
-                            w1, 0.2, 0.05)
+                            w1, 0.2, sysd.step_factors(0.05))
     sig_ref = dense_nutrient_step(grid, sysd.params, sysd.nl,
                                   np.zeros(grid.n_nodes), phi0, w1, 0.2, 0.05)
     assert np.abs(sig - sig_ref).max() < 1e-8
@@ -52,8 +53,9 @@ def test_ch_step_matches_dense_fixed_point_oracle(rng):
     u0 = sysd.solve_elasticity(phi0)
     w1 = np.full(grid.n_boundary_nodes, 0.8)
     coef = coefficients_at(sysd, phi0)
-    sigma_new = sysd.step_nutrient(sig0, coef, w1, 0.2, tau)
-    phi1, mu1 = sysd.step_cahn_hilliard(phi0, coef, sigma_new, 0.25, tau)
+    factors = sysd.step_factors(tau)
+    sigma_new = sysd.step_nutrient(sig0, coef, w1, 0.2, factors)
+    phi1, mu1 = sysd.step_cahn_hilliard(phi0, coef, sigma_new, 0.25, factors)
     phi_ref, mu_ref = dense_ch_step(grid, sysd.params, sysd.nl, phi0, u0,
                                     sigma_new, 0.25, tau)
     assert np.abs(phi1 - phi_ref).max() < 1e-8

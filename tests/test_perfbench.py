@@ -32,8 +32,9 @@ def test_tracer_install_and_uninstall():
     assert all(mod.splu is orig for mod, orig in zip(users, before))
 
 
-def test_traced_forward_factors_ch_once_per_step():
-    # a factorization that bypasses the traced ``splu`` name would be missed
+def test_traced_forward_factors_ch_once_per_trajectory():
+    # a factorization that bypasses the traced ``splu`` name would be missed;
+    # the trajectory factors J(0) once and no chord Newton step refactors
     from tumoropt.config import default_config
 
     tracing = _load_tracing()
@@ -49,8 +50,8 @@ def test_traced_forward_factors_ch_once_per_step():
     finally:
         tracer.uninstall()
     m = tracing.layer_metrics(tracer.spans, "unit-1", sysd.grid.n_nodes)
-    assert m["splu.ch.count"] == cfg["time.steps"]
-    assert m["state.newton_per_step"] == 1.0
+    assert m["splu.ch.count"] == 1
+    assert m["state.newton_per_step"] == 0.0
 
 
 @pytest.mark.parametrize("storage", ["memory", "disk"])
@@ -149,7 +150,11 @@ def test_traced_span_names_resolve():
 
 
 def test_splu_users_bind_splu():
-    # the tracer rebinds ``splu`` in these modules; a module that no longer
-    # imports it stops a traced run
+    # the tracer rebinds ``splu`` in these modules, and a module that no
+    # longer imports it stops a traced run; ``state.splu`` is the one
+    # factorization entry point, the other imports are unused
+    from tumoropt import factor
+
     for layer in _load_tracing().SPLU_USERS:
-        assert importlib.import_module(f"tumoropt.{layer}").splu is scipy.sparse.linalg.splu
+        expect = factor.splu if layer == "state" else scipy.sparse.linalg.splu
+        assert importlib.import_module(f"tumoropt.{layer}").splu is expect

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,9 @@ from tumoropt import fem
 from tumoropt.adjoint import reduced_gradient, solve_adjoint
 from tumoropt.config import default_config, load_config
 from tumoropt.cost import CostWeights
+from tumoropt.factor import SPLU_OPTIONS
 from tumoropt.linearized import solve_linearised
-from tumoropt.state import (SPLU_OPTIONS, ControlBounds, ControlTriple, PreconditionError,
+from tumoropt.state import (ControlBounds, ControlTriple, InputRuleError, PreconditionError,
                             SolverError, StateSnapshot, TimestepError)
 
 from conftest import (OffFactor, coefficients_at, interior_controls, make_system,
@@ -68,7 +71,7 @@ def test_ch_step_constant_equilibrium():
     phi0 = np.full(nn, 0.4)
     sigma = np.full(nn, 0.9)
     phi1, mu1 = sysd.step_cahn_hilliard(phi0, coefficients_at(sysd, phi0), sigma,
-                                        0.0, 0.05)
+                                        0.0, sysd.step_factors(0.05))
     assert np.abs(phi1 - 0.4).max() < 1e-13
 
 
@@ -78,7 +81,7 @@ def test_ch_step_mass_conserved_without_sources():
     phi0 = tumour_ic(grid)
     sigma = np.full(grid.n_nodes, 1.0)
     phi1, _ = sysd.step_cahn_hilliard(phi0, coefficients_at(sysd, phi0), sigma,
-                                      0.0, 0.02)
+                                      0.0, sysd.step_factors(0.02))
     m0 = sysd.integrate_nodal(phi0)
     m1 = sysd.integrate_nodal(phi1)
     assert abs(m1 - m0) <= 1e-10 * max(1.0, abs(m0))
@@ -91,7 +94,7 @@ def test_ch_step_newton_divergence_reported(monkeypatch):
     phi0 = tumour_ic(grid, width=0.08)
     with pytest.raises(TimestepError):
         sysd.step_cahn_hilliard(phi0, coefficients_at(sysd, phi0),
-                                np.ones(grid.n_nodes), 0.0, 50.0)
+                                np.ones(grid.n_nodes), 0.0, sysd.step_factors(50.0))
 
 
 def _count_ch_factorizations(monkeypatch, n_nodes):
@@ -108,18 +111,20 @@ def _count_ch_factorizations(monkeypatch, n_nodes):
     return calls
 
 
-def test_ch_jacobian_factored_once_per_step(monkeypatch):
+def test_ch_jacobian_factored_once_per_trajectory(monkeypatch):
+    # the trajectory factors J(0) once; every chord Newton step starts from
+    # that factor, and on the default config none refactors
     cfg = default_config(grid__nx=8, grid__ny=8, time__steps=8)
     sysd = cfg.build_system()
     phi0, sig0 = cfg.initial_fields(sysd)
     calls = _count_ch_factorizations(monkeypatch, sysd.grid.n_nodes)
     sysd.solve_state(cfg.initial_controls(sysd), phi0, sig0,
                      cfg["time.T"], cfg["time.steps"])
-    assert len(calls) == cfg["time.steps"]
+    assert len(calls) == 1
 
 
 def test_ch_step_stiff_refactors_and_converges(monkeypatch):
-    # a steep well makes a reused Jacobian contract too little; the step
+    # a steep well makes the J(0) chord contract too little; the step
     # refactors at the current iterate and still meets the Newton tolerance
     sysd = make_system(4, 4, well_scale=50.0)
     grid, quad, nl = sysd.grid, sysd.quad, sysd.nl
@@ -127,9 +132,10 @@ def test_ch_step_stiff_refactors_and_converges(monkeypatch):
     sigma = np.ones(grid.n_nodes)
     tau = 5.0
     coef = coefficients_at(sysd, phi0)
+    factors = sysd.step_factors(tau)
     calls = _count_ch_factorizations(monkeypatch, grid.n_nodes)
-    phi, mu = sysd.step_cahn_hilliard(phi0, coef, sigma, 0.0, tau)
-    assert len(calls) > 1
+    phi, mu = sysd.step_cahn_hilliard(phi0, coef, sigma, 0.0, factors)
+    assert len(calls) >= 1
 
     FU = quad.pair(coef.growth(quad.P @ sigma, 0.0))
     lagged = (quad.pair(nl.psi2_prime(coef.phi)) + quad.pair(coef.w_phi)
@@ -146,12 +152,32 @@ def test_ch_step_stiff_refactors_and_converges(monkeypatch):
     assert np.linalg.norm(residual(phi, mu)) <= state_mod.NEWTON_RTOL * scale
 
 
+def test_newton_start_pairs_the_convex_part_once(monkeypatch):
+    # psi1'(P phi) is paired once per Newton residual: the stationary mu of
+    # the start and the first residual share one evaluation
+    sysd = make_system(5, 5)
+    phi0 = tumour_ic(sysd.grid)
+    factors = sysd.step_factors(0.05)
+    evals, corrections = [], []
+    psi1_prime = sysd.nl.psi1_prime
+    monkeypatch.setattr(sysd.nl, "psi1_prime", lambda r: evals.append(1) or psi1_prime(r))
+
+    class CountingLU:
+        def solve(self, b, trans="N"):
+            corrections.append(1)
+            return factors.ch.solve(b, trans=trans)
+
+    counting = dataclasses.replace(factors, ch=CountingLU())
+    sysd.step_cahn_hilliard(phi0, coefficients_at(sysd, phi0), np.ones(sysd.grid.n_nodes),
+                            0.0, counting)
+    assert len(corrections) > 0 and len(evals) == len(corrections) + 1
+
+
 def test_newton_max_iter_bounds_corrections(monkeypatch):
     # a step converging in exactly NEWTON_MAX_CORRECTIONS corrections is accepted
     sysd = make_system(4, 4, well_scale=50.0)
     grid = sysd.grid
     phi0 = tumour_ic(grid, width=0.08)
-    args = (phi0, coefficients_at(sysd, phi0), np.ones(grid.n_nodes), 0.0, 5.0)
     solves = []
     orig = state_mod.splu
 
@@ -164,6 +190,8 @@ def test_newton_max_iter_bounds_corrections(monkeypatch):
             return self.lu.solve(b, trans=trans)
 
     monkeypatch.setattr(state_mod, "splu", lambda A, **kw: CountingLU(orig(A, **kw)))
+    args = (phi0, coefficients_at(sysd, phi0), np.ones(grid.n_nodes), 0.0,
+            sysd.step_factors(5.0))
     phi_ref, _ = sysd.step_cahn_hilliard(*args)
     corrections = len(solves)
     monkeypatch.setattr(state_mod, "NEWTON_MAX_CORRECTIONS", corrections)
@@ -183,7 +211,7 @@ def test_nutrient_elliptic_constant_solution():
     phi = tumour_ic(grid)
     w1 = np.full(grid.n_boundary_nodes, sysd.params.sigma_c)
     sig = sysd.step_nutrient(np.zeros(grid.n_nodes), coefficients_at(sysd, phi),
-                             w1, 0.0, 0.1)
+                             w1, 0.0, sysd.step_factors(0.1))
     assert np.abs(sig - sysd.params.sigma_c).max() < 1e-11
 
 
@@ -194,8 +222,9 @@ def test_nutrient_parabolic_equilibrium_preserved():
     sig = np.full(grid.n_nodes, sysd.params.sigma_c)
     w1 = np.full(grid.n_boundary_nodes, sysd.params.sigma_c)
     coef = coefficients_at(sysd, phi)
+    factors = sysd.step_factors(0.05)
     for _ in range(3):
-        sig = sysd.step_nutrient(sig, coef, w1, 0.0, 0.05)
+        sig = sysd.step_nutrient(sig, coef, w1, 0.0, factors)
     assert np.abs(sig - sysd.params.sigma_c).max() < 1e-11
 
 
@@ -272,6 +301,18 @@ def test_trajectories_bit_identical(rng):
         assert np.array_equal(t1.snapshot(n).phi, t2.snapshot(n).phi)
         assert np.array_equal(t1.snapshot(n).sigma, t2.snapshot(n).sigma)
         assert np.array_equal(t1.snapshot(n).u, t2.snapshot(n).u)
+
+
+@pytest.mark.parametrize("name", ["phi0", "sigma0"])
+def test_initial_fields_need_one_value_per_node(name):
+    # a field one entry short stopped in a bare matmul ValueError
+    sysd = make_system(4, 4)
+    nn = sysd.grid.n_nodes
+    fields = {"phi0": np.zeros(nn), "sigma0": np.ones(nn)}
+    fields[name] = fields[name][:-1]
+    with pytest.raises(InputRuleError, match=f"^{name} needs one value per node") as info:
+        sysd.solve_state(sysd.zero_controls(2), fields["phi0"], fields["sigma0"], 0.1, 2)
+    assert info.value.name == name
 
 
 def test_initial_nutrient_validated():
@@ -453,9 +494,9 @@ def test_checkpointed_trajectory_matches_memory(tmp_path, rng):
 
 
 def test_advance_builds_only_the_factored_matrices(monkeypatch):
-    # the step assembles data arrays on fixed patterns: the only compressed
-    # matrices it builds are the nutrient operator and the composition
-    # Jacobian handed to splu
+    # the matrices factored are those of the trajectory, built once: a step
+    # applies its operators as products with fixed matrices, so it builds no
+    # compressed matrix
     import scipy.sparse._compressed as compressed
 
     cfg = default_config(grid__nx=6, grid__ny=6)
@@ -464,6 +505,7 @@ def test_advance_builds_only_the_factored_matrices(monkeypatch):
     coef = coefficients_at(sysd, phi0)
     snap = StateSnapshot(phi=phi0, mu=None, sigma=sig0, u=sysd.solve_elasticity(phi0),
                          t=0.0)
+    factors = sysd.step_factors(cfg["time.T"] / cfg["time.steps"])
     built = []
     init = compressed._cs_matrix.__init__
 
@@ -472,9 +514,8 @@ def test_advance_builds_only_the_factored_matrices(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(compressed._cs_matrix, "__init__", counting)
-    sysd.advance(snap, coef, cfg.initial_controls(sysd), 1,
-                 cfg["time.T"] / cfg["time.steps"])
-    assert len(built) <= 2, built
+    sysd.advance(snap, coef, cfg.initial_controls(sysd), 1, factors)
+    assert built == []
 
 
 # -- factor ordering ---------------------------------------------------------------
@@ -518,15 +559,16 @@ def test_solves_match_spsolve_on_the_natural_matrix(rng):
     def close(x, ref):
         return np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    factors = sysd.step_factors(tau)
     A = _natural(sysd.nutrient_operator(coef, tau), sysd.node_order)
     load, prev = rng.standard_normal(nn), rng.standard_normal(nn)
     ref = spla.spsolve(A, load + (sysd.params.beta / tau) * (sysd.M @ prev))
-    assert close(sysd.solve_nutrient(coef, tau, load, prev), ref)
+    assert close(sysd.solve_nutrient(coef, factors, load, prev), ref)
 
     J = _natural(sysd.ch_jacobian(phi, tau), sysd.ch_order)
     b = rng.standard_normal(2 * nn)
-    assert close(sysd.solve_ch(phi, tau, b, "N"), spla.spsolve(J, b))
-    assert close(sysd.solve_ch(phi, tau, b, "T"), spla.spsolve(J.T.tocsc(), b))
+    assert close(sysd.solve_ch(phi, factors, b, "N"), spla.spsolve(J, b))
+    assert close(sysd.solve_ch(phi, factors, b, "T"), spla.spsolve(J.T.tocsc(), b))
     assert close(sysd.solve_mass(load), spla.spsolve(sysd.M, load))
 
 
@@ -538,9 +580,10 @@ def test_composition_and_mass_solves_are_checked(monkeypatch, rng):
     sysd = make_system(4, 4)
     nn = sysd.grid.n_nodes
     phi = tumour_ic(sysd.grid)
+    factors = sysd.step_factors(0.1)
     for trans in ("N", "T"):
         with pytest.raises(SolverError, match="composition solve failed"):
-            sysd.solve_ch(phi, 0.1, rng.standard_normal(2 * nn), trans)
+            sysd.solve_ch(phi, factors, rng.standard_normal(2 * nn), trans)
     with pytest.raises(SolverError, match="mass solve failed"):
         sysd.solve_mass(rng.standard_normal(nn))
 
@@ -566,6 +609,42 @@ def test_solve_state_leaves_no_factor_in_a_reference_cycle():
         gc.garbage.clear()
         gc.enable()
     assert not held
+
+
+@pytest.mark.parametrize("storage", ["memory", "disk"])
+def test_trajectory_factors_are_freed_with_it(monkeypatch, tmp_path, rng, storage):
+    # the trajectory owns its step factors; after the linearised and adjoint
+    # sweeps over it nothing else holds them, and no reference cycle does, so
+    # they go with the trajectory, without the cyclic collector
+    class Factor:  # a SuperLU object takes no weak reference
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    made = []
+    orig = state_mod.splu
+
+    def factor(A, **kwargs):
+        made.append(Factor(orig(A, **kwargs)))
+        return made[-1]
+
+    sysd = make_system(4, 4, chi=0.1)
+    N, T = 4, 0.4
+    w = interior_controls(sysd, N)
+    monkeypatch.setattr(state_mod, "splu", factor)
+    kept = dict(storage="disk", every=2, directory=tmp_path) if storage == "disk" else {}
+    traj = sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(sysd.grid.n_nodes), T, N,
+                            **kept)
+    solve_linearised(sysd, traj, w, sysd.control_space(T, N).random_direction(rng))
+    solve_adjoint(sysd, traj, w, CostWeights())
+    refs = [weakref.ref(f) for f in made]
+    made.clear()
+    assert len(refs) == 2 and all(r() is not None for r in refs)
+    gc.disable()
+    try:
+        del traj
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def _final_fields(nx: int, steps: int, T: float = 0.05) -> dict:
