@@ -108,10 +108,12 @@ class ControlProblem:
 
     def __post_init__(self):
         self.space = self.system.control_space(self.T, self.n_steps)
+        # every solve of the problem has its time step, so they share one pair
+        self.factors = self.system.step_factors(self.space.tau)
 
     def solve(self, w: ControlTriple) -> StateTrajectory:
         return self.system.solve_state(w, self.phi0, self.sigma0, self.T,
-                                       self.n_steps)
+                                       self.n_steps, factors=self.factors)
 
     def cost(self, w: ControlTriple):
         traj = self.solve(w)

@@ -209,8 +209,9 @@ class StepFactors:
 class StateTrajectory:
     """Time-ordered snapshots with optional disk checkpointing.
 
-    It owns the step factors of its time step, which the forward solve,
-    regeneration and the linearised and adjoint sweeps over it share.
+    It holds the step factors of its time step, which the forward solve,
+    regeneration and the linearised and adjoint sweeps over it share: made
+    with it, or passed in by a caller whose trajectories share one time step.
 
     With ``storage='disk'`` only every ``every``-th snapshot (plus the last)
     is written to ``directory``; intermediate states are regenerated on demand
@@ -220,7 +221,7 @@ class StateTrajectory:
 
     def __init__(self, system: "System", controls: ControlTriple, tau: float,
                  n_steps: int, storage: str = "memory", every: int = 1,
-                 directory=None):
+                 directory=None, factors: StepFactors | None = None):
         if storage not in ("memory", "disk"):
             raise PreconditionError(f"unknown storage policy {storage!r}")
         if storage == "disk":
@@ -233,7 +234,12 @@ class StateTrajectory:
         self.system = system
         self.controls = controls
         self.tau = tau
-        self.factors = system.step_factors(tau)
+        if factors is None:
+            factors = system.step_factors(tau)
+        elif factors.tau != tau:
+            raise PreconditionError(f"step factors of tau = {factors.tau!r} do not fit "
+                                    f"the run's tau = {tau!r}")
+        self.factors = factors
         self.n_steps = n_steps
         self.storage = storage
         self.every = every
@@ -652,17 +658,20 @@ class System:
 
     def solve_state(self, controls: ControlTriple, phi0: np.ndarray,
                     sigma0: np.ndarray, T: float, n_steps: int,
-                    storage: str = "memory", every: int = 1,
-                    directory=None) -> StateTrajectory:
+                    storage: str = "memory", every: int = 1, directory=None,
+                    factors: StepFactors | None = None) -> StateTrajectory:
         """Run the forward model; returns the full trajectory.  mu0 is the
-        Newton start of a step, the stationary relation at the initial state."""
+        Newton start of a step, the stationary relation at the initial state.
+        ``factors``, from ``step_factors(T / n_steps)``, lets the runs of one
+        time grid share their step factors; without it the trajectory makes
+        its own."""
         self.check_initial_state(phi0, sigma0)
         check_time_grid(T, n_steps)
         controls.bounds.check(self.params)
         self.check_control_layout(controls, n_steps)
         tau = T / n_steps
         traj = StateTrajectory(self, controls, tau, n_steps, storage=storage,
-                               every=every, directory=directory)
+                               every=every, directory=directory, factors=factors)
         snap = StateSnapshot(phi=phi0.copy(), mu=None, sigma=sigma0.copy(),
                              u=self.solve_elasticity(phi0), t=0.0)
         coef = self.coefficients(snap)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tumoropt.state as state_mod
 from tumoropt.adjoint import ReducedGradient
 from tumoropt.cost import CostConfigError, CostWeights, eval_cost
 from tumoropt.optimize import (ZERO_TOL, ControlProblem, GateError,
@@ -30,6 +31,19 @@ def _problem(nx=6, ny=6, N=8, T=0.5, weights=None, **sys_kwargs):
                               phi_Q=np.full(grid.n_nodes, -0.45),
                               phi_Omega=np.full(grid.n_nodes, -0.45))
     return ControlProblem(sysd, phi0, sig0, T, N, weights)
+
+
+def test_control_problem_solves_share_one_pair_of_step_factors(monkeypatch):
+    # every solve of a problem has its time step, so the problem factors
+    # once and its trajectories and sweeps factor nothing
+    problem = _problem(N=4)
+    sizes = []
+    orig = state_mod.splu
+    monkeypatch.setattr(state_mod, "splu",
+                        lambda A, **kw: sizes.append(A.shape[0]) or orig(A, **kw))
+    w = interior_controls(problem.system, 4)
+    (_, traj), _ = problem.cost(w), problem.gradient(w)
+    assert sizes == [] and traj.factors is problem.factors
 
 
 def test_control_problem_refuses_zero_steps():

@@ -315,6 +315,22 @@ def test_initial_fields_need_one_value_per_node(name):
     assert info.value.name == name
 
 
+def test_shared_step_factors_fit_the_time_step():
+    # runs of one time grid may share their step factors, bitwise to the
+    # same trajectory; factors of another time step are refused
+    sysd = make_system(4, 4)
+    nn = sysd.grid.n_nodes
+    args = (sysd.zero_controls(2), tumour_ic(sysd.grid), np.ones(nn), 0.1, 2)
+    own = sysd.solve_state(*args)
+    shared = sysd.solve_state(*args, factors=sysd.step_factors(0.05))
+    for n in range(3):
+        for field in ("phi", "mu", "sigma", "u"):
+            assert np.array_equal(getattr(own.snapshot(n), field),
+                                  getattr(shared.snapshot(n), field))
+    with pytest.raises(PreconditionError, match="do not fit the run's tau"):
+        sysd.solve_state(*args, factors=sysd.step_factors(0.1))
+
+
 def test_initial_nutrient_validated():
     sysd = make_system(4, 4)
     w = sysd.zero_controls(2)
