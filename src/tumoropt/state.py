@@ -195,10 +195,11 @@ class StateSnapshot:
 @dataclass(frozen=True)
 class StepFactors:
     """The constant parts of the step operators at time step ``tau``,
-    factored once per trajectory: ``ch`` factors J(0) = [[M/tau, K], [-K, M]],
-    the composition Jacobian at phi = 0 (psi1''(0) = 0), in ``ch_order``, and
-    ``nutrient`` factors ``nutrient_fixed`` = K + kappa Mb + (beta/tau + B) M,
-    the nutrient operator without its lambda_c h(phi) term, in ``node_order``;
+    factored once for a trajectory or for the runs of one time grid: ``ch``
+    factors J(0) = [[M/tau, K], [-K, M]], the composition Jacobian at
+    phi = 0 (psi1''(0) = 0), in ``ch_order``, and ``nutrient`` factors
+    ``nutrient_fixed`` = K + kappa Mb + (beta/tau + B) M, the nutrient
+    operator without its lambda_c h(phi) term, in ``node_order``;
     ``nutrient_fixed`` itself is in the node numbering."""
     tau: float
     ch: object
