@@ -30,9 +30,9 @@ SPLU_OPTIONS = {
 def splu(A, kind: str, sized: bool = True):
     """Factor ``A`` by the policy of ``kind``.
 
-    ``sized`` factors with SuperLU's incomplete-LU driver dropping nothing,
+    ``sized`` factors with SuperLU's incomplete-LU routine dropping nothing,
     which gives the same L and U in storage that grows from nnz(A) as the
-    fill needs it.  The complete driver allocates about 20 nnz(A) up front
+    fill needs it.  The complete routine allocates about 20 nnz(A) up front
     (25.9 MiB for the 1.9 MiB of L + U of a 32x32 Cahn-Hilliard factor) but
     factors about a third faster, so the factors a ``System`` makes once at
     set-up use it.
