@@ -35,14 +35,17 @@ def interior_controls(system, n_steps, bounds=None):
 
 
 class OffFactor:
-    """A factor whose solutions are three times too large: its corrections
-    do not contract, so a solve with it, iterated or not, fails."""
+    """A factor whose solutions are ``scale`` times too large.  The default
+    error, 1e-6, fails a direct solve's residual rule; an iterated solve
+    corrects it, so it needs a scale whose corrections do not contract,
+    such as 3."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, scale=1.0 + 1e-6):
         self.lu = lu
+        self.scale = scale
 
     def solve(self, b, trans="N"):
-        return self.lu.solve(b, trans=trans) * 3.0
+        return self.lu.solve(b, trans=trans) * self.scale
 
 
 @pytest.fixture

@@ -117,7 +117,7 @@ def test_sweep_nutrient_solves_are_checked(monkeypatch, rng):
     orig = state_mod.splu
     nn = sysd.grid.n_nodes
     monkeypatch.setattr(state_mod, "splu", lambda A, **kw: (
-        OffFactor(orig(A, **kw)) if A.shape[0] == nn else orig(A, **kw)))
+        OffFactor(orig(A, **kw), 3.0) if A.shape[0] == nn else orig(A, **kw)))
     with pytest.raises(SolverError, match="nutrient solve failed"):
         _three_step_forward(sysd)
     traj.factors = sysd.step_factors(traj.tau)

@@ -590,10 +590,13 @@ def test_solves_match_spsolve_on_the_natural_matrix(rng):
 
 def test_composition_and_mass_solves_are_checked(monkeypatch, rng):
     # the sweeps' composition solves, either way, and the mass solves were
-    # unchecked; the mass factor is built with the System
+    # unchecked.  The mass and elasticity factors, built with the System,
+    # are off by 1e-6, which their direct solves must catch; the iterated
+    # composition solves correct that, so their factors do not contract
     orig = state_mod.splu
     monkeypatch.setattr(state_mod, "splu", lambda A, **kw: OffFactor(orig(A, **kw)))
     sysd = make_system(4, 4)
+    monkeypatch.setattr(state_mod, "splu", lambda A, **kw: OffFactor(orig(A, **kw), 3.0))
     nn = sysd.grid.n_nodes
     phi = tumour_ic(sysd.grid)
     factors = sysd.step_factors(0.1)
@@ -602,6 +605,8 @@ def test_composition_and_mass_solves_are_checked(monkeypatch, rng):
             sysd.solve_ch(phi, factors, rng.standard_normal(2 * nn), trans)
     with pytest.raises(SolverError, match="mass solve failed"):
         sysd.solve_mass(rng.standard_normal(nn))
+    with pytest.raises(SolverError, match="elasticity solve failed"):
+        sysd.solve_elastic(rng.standard_normal(2 * nn))
 
 
 def test_solve_state_leaves_no_factor_in_a_reference_cycle():
