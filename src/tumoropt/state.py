@@ -196,15 +196,13 @@ class StateSnapshot:
 class StepFactors:
     """The constant parts of the step operators at time step ``tau``,
     factored once for a trajectory or for the runs of one time grid: ``ch``
-    factors J(0) = [[M/tau, K], [-K, M]], the composition Jacobian at
-    phi = 0 (psi1''(0) = 0), in ``ch_order``, and ``nutrient`` factors
-    ``nutrient_fixed`` = K + kappa Mb + (beta/tau + B) M, the nutrient
-    operator without its lambda_c h(phi) term, in ``node_order``;
-    ``nutrient_fixed`` itself is in the node numbering."""
+    factors J(0) = [[M/tau, K], [-K, M]], ``ch_jacobian`` at phi = 0
+    (psi1''(0) = 0), and ``nutrient`` factors K + kappa Mb + (beta/tau + B) M,
+    ``nutrient_operator`` without its lambda_c h(phi) term, each in the order
+    of the matrix it factors."""
     tau: float
     ch: object
     nutrient: object
-    nutrient_fixed: sp.csc_matrix
 
 
 class StateTrajectory:
@@ -339,34 +337,37 @@ def _solve(what: str | None, lu, A, order: np.ndarray, rhs: np.ndarray,
     return x
 
 
-def _iterate(what: str, lu, order: np.ndarray, apply, rhs: np.ndarray, trans: str,
-             assemble, kind: str) -> np.ndarray:
-    """Solve ``C x = rhs``, or ``C^T x = rhs`` if ``trans="T"``, where
-    ``apply(v)`` is ``C v`` (``C^T v``) and ``lu`` factors a constant part of
-    ``C`` in the order ``order``, by the chord corrections x += lu^-1 (rhs - C x)
+def _iterate(what: str, lu, A: sp.csc_matrix, order: np.ndarray, rhs: np.ndarray,
+             trans: str, kind: str) -> np.ndarray:
+    """Solve ``B x = rhs``, or ``B^T x = rhs`` if ``trans="T"``, where
+    ``A = B[order][:, order]`` and ``lu`` factors a constant part of ``A``, by
+    the chord corrections y += lu^-1 (b - A y) on the permuted ``b = rhs[order]``
     (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
     ch. 5).  They go on while each leaves less than CHORD_CONTRACTION of the
     residual norm and end at the first that does not, which at round-off is
     where the residual stops falling; the smaller residual is kept.  If it
-    breaks the residual rule, ``C`` itself, ``assemble()`` in ``order``, is
-    factored by the policy of ``kind``, and that solve is checked, naming
-    ``what``."""
-    x = _solve(None, lu, None, order, rhs, trans)
-    res = rhs - apply(x)
+    breaks the residual rule, ``A`` itself, the matrix the corrections
+    iterated with, is factored by the policy of ``kind``, and that solve is
+    checked, naming ``what``."""
+    b = rhs[order]
+    op = A if trans == "N" else A.T
+    y = lu.solve(b, trans=trans)
+    res = b - op @ y
     norm = np.linalg.norm(res)
     while True:
-        y = x + _solve(None, lu, None, order, res, trans)
-        res_y = rhs - apply(y)
-        norm_y = np.linalg.norm(res_y)
-        contracted = norm_y < CHORD_CONTRACTION * norm  # False at 0 and NaN
-        if norm_y < norm:
-            x, res, norm = y, res_y, norm_y
+        z = y + lu.solve(res, trans=trans)
+        res_z = b - op @ z
+        norm_z = np.linalg.norm(res_z)
+        contracted = norm_z < CHORD_CONTRACTION * norm  # False at 0 and NaN
+        if norm_z < norm:
+            y, res, norm = z, res_z, norm_z
         if not contracted:
             break
-    if _within_rule(norm, rhs):
-        return x
-    A = assemble()
-    return _solve(what, splu(A, kind=kind), A, order, rhs, trans)
+    if not _within_rule(norm, b):
+        return _solve(what, splu(A, kind=kind), A, order, rhs, trans)
+    x = np.zeros_like(rhs)
+    x[order] = y
+    return x
 
 
 def _permuted_pattern(row: np.ndarray, col: np.ndarray, order: np.ndarray, n: int):
@@ -413,30 +414,36 @@ class System:
         self.K = fem.assemble_stiffness(grid, self.quad)
         self.Mb = fem.assemble_boundary_mass(grid, "gamma")
         # the per-step operators are data arrays on the nodal pattern of M and
-        # K, such as the fixed nutrient part K + kappa Mb, taken into permuted
+        # K, such as K + kappa Mb of the nutrient operator, taken into permuted
         # patterns fixed here
-        self._nutrient_fixed = self.K.data + params.kappa * self.quad.pattern_data(self.Mb)
+        self._diffusion_exchange = self.K.data + params.kappa * self.quad.pattern_data(self.Mb)
         n = grid.n_nodes
         order = self.node_order = nested_dissection(grid)
         self.ch_order = np.stack([order, order + n], axis=1).ravel()
         row, col = self.quad.indices, np.repeat(np.arange(n), np.diff(self.quad.indptr))
         self._nd_indptr, self._nd_indices, self._nd_take = _permuted_pattern(
             row, col, order, n)
-        # the entries of the Jacobian [[A, B], [C, D]] block by block, in the
-        # order (A, C, B, D) in which ch_jacobian concatenates their data
-        self._ch_indptr, self._ch_indices, self._ch_take = _permuted_pattern(
+        # the Jacobian [[A, B], [C, D]] and, per block in the order (A, C, B,
+        # D), the place in its data of each entry of the block's pattern data
+        self._ch_indptr, self._ch_indices, take = _permuted_pattern(
             np.concatenate([row, row + n, row, row + n]),
             np.concatenate([col, col, col + n, col + n]), self.ch_order, 2 * n)
+        put = np.empty_like(take)
+        put[take] = np.arange(take.size)
+        self._ch_put = put.reshape(4, -1)
         self._mass = self._nodal_matrix(self.M.data)
         self._mass_lu = splu(self._mass, kind="spd", sized=False)
 
         A, free = fem.assemble_elasticity(grid, params.C, self.quad)
         A = A.tocoo()
+        # entries that cancel exactly in the assembly are left out of A_red
+        nz = A.data != 0
         dofs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
         self.elastic_order = dofs[free[dofs]]
         m = self.elastic_order.size
-        indptr, indices, take = _permuted_pattern(A.row, A.col, self.elastic_order, 2 * n)
-        self.A_red = sp.csc_matrix((A.data[take], indices, indptr), shape=(m, m))
+        indptr, indices, take = _permuted_pattern(A.row[nz], A.col[nz], self.elastic_order,
+                                                  2 * n)
+        self.A_red = sp.csc_matrix((A.data[nz][take], indices, indptr), shape=(m, m))
         self._elas_lu = splu(self.A_red, kind="spd", sized=False)
         self.Bc = fem.assemble_coupling_phi_to_strain(grid, params.C,
                                                       params.misfit_strain, self.quad)
@@ -511,35 +518,31 @@ class System:
 
     # -- nutrient step ---------------------------------------------------------
 
-    def nutrient_operator(self, coef: con.GaussCoefficients,
+    def nutrient_operator(self, coef: con.GaussCoefficients | None,
                           tau: float) -> sp.csc_matrix:
-        """K + kappa Mb + P^T diag(w (lambda_c h + B)) P + (beta/tau) M, in
-        the nested-dissection order ``node_order``."""
-        data = self._nutrient_fixed + self.quad.reaction_matrix(-coef.nutrient_dsigma)
-        if self.params.beta > 0:
-            data += (self.params.beta / tau) * self.M.data
+        """K + kappa Mb + (beta/tau + B) M + P^T diag(w lambda_c h) P, in the
+        nested-dissection order ``node_order``; without ``coef``, the
+        constant part that leaves out lambda_c h(phi)."""
+        p = self.params
+        data = self._diffusion_exchange + (p.beta / tau + p.B) * self.M.data
+        if coef is not None:
+            data += self.quad.reaction_matrix(-coef.nutrient_dsigma - p.B)
         return self._nodal_matrix(data)
 
     def step_factors(self, tau: float) -> StepFactors:
         """Factor the constant parts of the step operators at time step ``tau``."""
-        n, quad = self.grid.n_nodes, self.quad
-        fixed = self._nutrient_fixed + (self.params.beta / tau + self.params.B) * self.M.data
-        return StepFactors(tau, splu(self.ch_jacobian(np.zeros(n), tau), kind="ch"),
-                           splu(self._nodal_matrix(fixed), kind="spd"),
-                           sp.csc_matrix((fixed, quad.indices, quad.indptr), shape=(n, n)))
+        return StepFactors(tau, splu(self.ch_jacobian(np.zeros(self.grid.n_nodes), tau),
+                                     kind="ch"),
+                           splu(self.nutrient_operator(None, tau), kind="spd"))
 
     def solve_nutrient(self, coef: con.GaussCoefficients, factors: StepFactors,
                        load: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Solve with the nutrient operator; ``prev`` is the previous level's
         field, entering the right-hand side as (beta/tau) M prev."""
-        tau, quad, fixed = factors.tau, self.quad, factors.nutrient_fixed
         if self.params.beta > 0:
-            load = load + (self.params.beta / tau) * (self.M @ prev)
-        # the operator less its constant part: P^T diag(w lambda_c h) P
-        varying = -coef.nutrient_dsigma - self.params.B
-        return _iterate("nutrient", factors.nutrient, self.node_order,
-                        lambda v: fixed @ v + quad.pair(varying * (quad.P @ v)), load, "N",
-                        lambda: self.nutrient_operator(coef, tau), "spd")
+            load = load + (self.params.beta / factors.tau) * (self.M @ prev)
+        A = self.nutrient_operator(coef, factors.tau)
+        return _iterate("nutrient", factors.nutrient, A, self.node_order, load, "N", "spd")
 
     def step_nutrient(self, sigma_prev: np.ndarray, coef: con.GaussCoefficients,
                       w1_step: np.ndarray, w3_step: float,
@@ -556,30 +559,22 @@ class System:
         residual at the given iterate, S = P^T diag(w psi1''(P phi)) P, in
         the interleaved nested-dissection order ``ch_order``."""
         S = self.quad.reaction_matrix(self.nl.psi1_second(self.quad.P @ phi))
-        M, K = self.M.data, self.K.data
-        blocks = np.concatenate([M * (1.0 / tau), -(K + S), K, M])
+        M, K, (at_a, at_c, at_b, at_d) = self.M.data, self.K.data, self._ch_put
+        # the blocks are written into place, the varying ones through S's
+        # array, so that no array of the Jacobian's size is made but its data
+        data = np.empty(4 * M.size)
+        data[at_b], data[at_d] = K, M
+        S += K
+        data[at_c] = np.negative(S, out=S)
+        data[at_a] = np.multiply(M, 1.0 / tau, out=S)
         n = 2 * self.grid.n_nodes
-        return sp.csc_matrix((blocks.take(self._ch_take), self._ch_indices, self._ch_indptr),
-                             shape=(n, n))
+        return sp.csc_matrix((data, self._ch_indices, self._ch_indptr), shape=(n, n))
 
     def solve_ch(self, phi: np.ndarray, factors: StepFactors, rhs: np.ndarray,
                  trans: str) -> np.ndarray:
         """Solve with the composition Jacobian at ``phi``, or its transpose if ``trans="T"``."""
-        tau, quad, M, K = factors.tau, self.quad, self.M, self.K
-        n = phi.size
-        curvature = self.nl.psi1_second(quad.P @ phi)
-
-        def apply(v):
-            # J = J(0) - [[0, 0], [S, 0]], S = P^T diag(w psi1''(P phi)) P
-            x, y = v[:n], v[n:]
-            if trans == "N":
-                return np.concatenate([M @ x / tau + K @ y,
-                                       M @ y - K @ x - quad.pair(curvature * (quad.P @ x))])
-            return np.concatenate([M @ x / tau - K @ y - quad.pair(curvature * (quad.P @ y)),
-                                   K @ x + M @ y])
-
-        return _iterate("composition", factors.ch, self.ch_order, apply, rhs, trans,
-                        lambda: self.ch_jacobian(phi, tau), "ch")
+        return _iterate("composition", factors.ch, self.ch_jacobian(phi, factors.tau),
+                        self.ch_order, rhs, trans, "ch")
 
     def _stationary_mu(self, phi: np.ndarray, coef: con.GaussCoefficients,
                        sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

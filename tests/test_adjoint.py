@@ -154,27 +154,46 @@ def test_duality_identity_transpose(rng):
     _check_duality(rng, 4)
 
 
-def test_duality_identity_beta_zero(rng):
+def _factor_sizes(monkeypatch) -> list:
+    """The dimension of every matrix that ``state`` factors from now on."""
+    sizes = []
+    orig = state_mod.splu
+    monkeypatch.setattr(state_mod, "splu",
+                        lambda A, **kw: sizes.append(A.shape[0]) or orig(A, **kw))
+    return sizes
+
+
+NN = 6 * 5  # the nodes of _setup's 5 x 4 grid
+
+
+def test_duality_identity_beta_zero(monkeypatch, rng):
+    # with lambda_c = 1 > B = 0.5 the boundary exchange kappa Mb keeps the
+    # nutrient chord contracting: the n x n factors are the mass matrix and
+    # one constant part per trajectory, 1 + 2 per direction
+    sizes = _factor_sizes(monkeypatch)
     _check_duality(rng, 3, beta=0.0, B=0.5, kappa=1.0)
+    assert sizes.count(NN) == 1 + (1 + 2 * 3)
 
 
-def test_duality_identity_beta_zero_without_boundary_exchange(rng):
+def test_duality_identity_beta_zero_without_boundary_exchange(monkeypatch, rng):
     # with beta = kappa = 0 the trajectory's constant nutrient part is K + B M,
-    # definite by A1, where K + kappa Mb alone would be singular
+    # definite by A1, where K + kappa Mb alone would be singular.  Its chord
+    # does not contract against lambda_c h = 1 > B, so every nutrient solve
+    # factors the operator it iterated with: N in each of the 5 forward solves
+    # and in each of the 2 linearised sweeps, N + 1 in the adjoint sweep
+    sizes = _factor_sizes(monkeypatch)
     _check_duality(rng, 2, beta=0.0, B=0.5, kappa=0.0)
+    N, trajectories = 5, 1 + 2 * 2
+    assert sizes.count(NN) == 1 + trajectories * (1 + N) + 2 * N + N + 1
 
 
 def test_stiff_well_converges_through_the_refactor_fallback(monkeypatch, rng):
     # a steep well makes J(0) contract too little: the forward steps refactor
     # at their iterates and the sweeps' solves factor their operators, and
     # the duality identity and the FD gate still hold
-    sizes = []
-    orig = state_mod.splu
-    monkeypatch.setattr(state_mod, "splu",
-                        lambda A, **kw: sizes.append(A.shape[0]) or orig(A, **kw))
+    sizes = _factor_sizes(monkeypatch)
     _check_duality(rng, 1, well_scale=50.0)
-    nn = 6 * 5  # the nodes of _setup's 5 x 4 grid
-    assert sizes.count(2 * nn) > 3  # one J(0) factor per trajectory, 3 trajectories
+    assert sizes.count(2 * NN) > 3  # one J(0) factor per trajectory, 3 trajectories
 
 
 def test_gradient_vs_finite_differences_transpose(rng):

@@ -15,7 +15,7 @@ from tumoropt.cost import CostWeights
 from tumoropt.factor import SPLU_OPTIONS
 from tumoropt.linearized import solve_linearised
 from tumoropt.state import (ControlBounds, ControlTriple, InputRuleError, PreconditionError,
-                            SolverError, StateSnapshot, TimestepError)
+                            SolverError, StateSnapshot, StepFactors, TimestepError)
 
 from conftest import (OffFactor, coefficients_at, interior_controls, make_system,
                       tumour_ic)
@@ -509,10 +509,49 @@ def test_checkpointed_trajectory_matches_memory(tmp_path, rng):
         assert (tmp_path / name / "index.txt").exists()
 
 
-def test_advance_builds_only_the_factored_matrices(monkeypatch):
-    # the matrices factored are those of the trajectory, built once: a step
-    # applies its operators as products with fixed matrices, so it builds no
-    # compressed matrix
+def test_iterated_solves_take_at_most_nine_factor_solves(monkeypatch, rng):
+    # each chord correction with the trajectory's factors contracts the
+    # residual tenfold, so on the default config every solve_nutrient and
+    # solve_ch, either way, reaches round-off in at most 9 solves with its
+    # factor, and none factors its own operator
+    class Counting:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b, trans="N"):
+            calls.append(1)
+            return self.lu.solve(b, trans=trans)
+
+    calls, per_solve, factored = [], {}, []
+    cfg = default_config(grid__nx=8, grid__ny=8)
+    sysd = cfg.build_system()
+    phi0, sig0 = cfg.initial_fields(sysd)
+    w = cfg.initial_controls(sysd)
+    T, N = cfg["time.T"], cfg["time.steps"]
+    made = sysd.step_factors(T / N)
+    factors = StepFactors(made.tau, Counting(made.ch), Counting(made.nutrient))
+    for name in ("solve_nutrient", "solve_ch"):
+        def counted(self, *args, _method=getattr(type(sysd), name), _name=name):
+            before = len(calls)
+            x = _method(self, *args)
+            trans = args[3] if _name == "solve_ch" else "N"
+            per_solve.setdefault((_name, trans), []).append(len(calls) - before)
+            return x
+        monkeypatch.setattr(type(sysd), name, counted)
+    orig = state_mod.splu
+    monkeypatch.setattr(state_mod, "splu", lambda A, **kw: factored.append(1) or orig(A, **kw))
+    traj = sysd.solve_state(w, phi0, sig0, T, N, factors=factors)
+    solve_linearised(sysd, traj, w, sysd.control_space(T, N).random_direction(rng))
+    solve_adjoint(sysd, traj, w, cfg.build_weights(sysd))
+    assert sorted(per_solve) == [("solve_ch", "N"), ("solve_ch", "T"), ("solve_nutrient", "N")]
+    assert max(max(counts) for counts in per_solve.values()) <= 9
+    assert factored == []
+
+
+def test_advance_builds_only_the_nutrient_operator(monkeypatch):
+    # the nutrient solve iterates with its assembled operator, and the chord
+    # Newton reaches its tolerance from the trajectory's factor of J(0), so a
+    # step builds one compressed matrix, the nutrient operator
     import scipy.sparse._compressed as compressed
 
     cfg = default_config(grid__nx=6, grid__ny=6)
@@ -526,12 +565,17 @@ def test_advance_builds_only_the_factored_matrices(monkeypatch):
     init = compressed._cs_matrix.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(type(self).__name__)
         init(self, *args, **kwargs)
+        built.append((type(self).__name__, self.shape))
 
     monkeypatch.setattr(compressed._cs_matrix, "__init__", counting)
+    operators = []
+    operator = type(sysd).nutrient_operator
+    monkeypatch.setattr(type(sysd), "nutrient_operator",
+                        lambda self, *args: operators.append(1) or operator(self, *args))
     sysd.advance(snap, coef, cfg.initial_controls(sysd), 1, factors)
-    assert built == []
+    n = sysd.grid.n_nodes
+    assert built == [("csc_matrix", (n, n))] and operators == [1]
 
 
 # -- factor ordering ---------------------------------------------------------------
