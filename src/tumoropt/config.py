@@ -68,9 +68,6 @@ SCHEMA: dict[str, tuple] = {
     "model.misfit_strain": (_floats, (0.05, 0.05, 0.0)),
     "model.g_load": (_floats, (0.0, 0.0)),
     "model.well_scale": (_float, 1.0),
-    "model.response_g": (str, "inverse_sqrt"),
-    "model.weight_n": (str, "ramp"),
-    "model.weight_region": (_floats, (0.0, 1.0, 0.0, 1.0)),
     "ic.phi": (str, "circle:0.5,0.5,0.3,0.25"),
     "ic.sigma": (str, "constant:1.0"),
     "cost.alpha_Q": (_float, 0.0),
@@ -109,7 +106,8 @@ BOUND_KEYS = {"w1_lo": "control.w1_min", "w1_hi": "control.w1_max",
               "w2_lo": "control.w2_min", "w2_hi": "control.w2_max",
               "w3_lo": "control.w3_min", "w3_hi": "control.w3_max"}
 INPUT_KEYS = {**BOUND_KEYS, "T": "time.T", "n_steps": "time.steps",
-              "phi0": "ic.phi", "sigma0": "ic.sigma"}
+              "phi0": "ic.phi", "sigma0": "ic.sigma",
+              "phi_Q": "cost.phi_Q", "phi_Omega": "cost.phi_Omega"}
 
 EXPERIMENTS = ("forward", "frechet", "gradcheck", "optimize", "gamma_sweep")
 
@@ -154,10 +152,7 @@ class RunConfig:
             supply_bound=self["control.w1_max"])
 
     def build_nonlinearities(self) -> Nonlinearities:
-        return Nonlinearities(well_scale=self["model.well_scale"],
-                              g=self["model.response_g"],
-                              weight_n=self["model.weight_n"],
-                              region=tuple(self["model.weight_region"]))
+        return Nonlinearities(well_scale=self["model.well_scale"])
 
     def build_system(self) -> System:
         return System(self.build_grid(), self.build_params(),
@@ -174,9 +169,13 @@ class RunConfig:
         try:
             system.check_initial_state(phi0, sigma0)
         except InputRuleError as exc:
-            key = INPUT_KEYS[exc.name]
-            raise ConfigError(f"{key} = {self[key]}: {exc}") from exc
+            raise self._named(exc) from exc
         return phi0, sigma0
+
+    def _named(self, exc: InputRuleError) -> ConfigError:
+        """The error of a field spec's rule, naming its config key and spec."""
+        key = INPUT_KEYS[exc.name]
+        return ConfigError(f"{key} = {self[key]}: {exc}")
 
     def initial_controls(self, system: System) -> ControlTriple:
         n = self["time.steps"]
@@ -196,10 +195,13 @@ class RunConfig:
 
     def build_weights(self, system: System) -> CostWeights:
         grid = system.grid
-        return CostWeights(
-            **_scalar_weights(self),
-            phi_Q=generate_field(self["cost.phi_Q"], grid),
-            phi_Omega=generate_field(self["cost.phi_Omega"], grid))
+        try:
+            return CostWeights(
+                **_scalar_weights(self),
+                phi_Q=generate_field(self["cost.phi_Q"], grid),
+                phi_Omega=generate_field(self["cost.phi_Omega"], grid))
+        except InputRuleError as exc:
+            raise self._named(exc) from exc
 
 
 def _scalar_weights(cfg: RunConfig) -> dict[str, float]:
@@ -268,6 +270,7 @@ def validate_config(cfg: RunConfig) -> None:
         cfg.build_grid()
         params = cfg.build_params()
         cfg.build_nonlinearities()
+        cfg.drug_schedule()
         cfg.build_bounds().check(params)
     except InputRuleError as exc:
         raise ConfigError(f"{INPUT_KEYS[exc.name]}: {exc}") from exc

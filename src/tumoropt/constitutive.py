@@ -50,6 +50,58 @@ def g_stress_grad(stress_v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# stress weight n of the cost
+# ---------------------------------------------------------------------------
+
+# blend half-width of the stress-weight ramp, in ramp units ((1-phi)/2)
+RAMP_BLEND = 0.05
+
+
+def stress_weight(phi) -> np.ndarray:
+    """n(phi): 0 in the tumour (phi = 1), 1 in the host (phi = -1)."""
+    return _ramp(0.5 * (1.0 - np.asarray(phi, dtype=float)), RAMP_BLEND)
+
+
+def stress_weight_prime(phi) -> np.ndarray:
+    return -0.5 * _ramp_prime(0.5 * (1.0 - np.asarray(phi, dtype=float)), RAMP_BLEND)
+
+
+def _ramp(t, delta):
+    """C^1 unit ramp: 0 below 0, 1 above 1, slope 1/(1-delta) in between.
+
+    Quadratic blends of half-width ``delta`` at both ends keep the endpoint
+    values exact while removing the clip kinks.
+    """
+    t = np.asarray(t, dtype=float)
+    m = 1.0 / (1.0 - delta)
+    out = np.empty_like(t)
+    lo = t <= 0.0
+    hi = t >= 1.0
+    b0 = (~lo) & (t < delta)
+    b1 = (~hi) & (t > 1.0 - delta)
+    mid = ~(lo | hi | b0 | b1)
+    out[lo] = 0.0
+    out[hi] = 1.0
+    out[b0] = m * t[b0] ** 2 / (2.0 * delta)
+    out[mid] = m * (t[mid] - delta / 2.0)
+    out[b1] = 1.0 - m * (1.0 - t[b1]) ** 2 / (2.0 * delta)
+    return out
+
+
+def _ramp_prime(t, delta):
+    t = np.asarray(t, dtype=float)
+    m = 1.0 / (1.0 - delta)
+    out = np.zeros_like(t)
+    b0 = (t > 0.0) & (t < delta)
+    b1 = (t > 1.0 - delta) & (t < 1.0)
+    mid = (t >= delta) & (t <= 1.0 - delta)
+    out[b0] = m * t[b0] / delta
+    out[mid] = m
+    out[b1] = m * (1.0 - t[b1]) / delta
+    return out
+
+
+# ---------------------------------------------------------------------------
 # parameter bundles
 # ---------------------------------------------------------------------------
 
@@ -62,11 +114,11 @@ class DrugSchedule:
 
     def __post_init__(self):
         if self.dosage < 0:
-            raise ModelConfigError("drug dosage must be non-negative")
+            raise ModelConfigError("drug.dosage must be non-negative")
         if self.lifetime <= 0:
-            raise ModelConfigError("drug mean lifetime must be positive")
+            raise ModelConfigError("drug.lifetime must be positive")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ModelConfigError("drug delivery times must be strictly increasing")
+            raise ModelConfigError("drug.times must be strictly increasing")
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -122,31 +174,14 @@ class ModelParams:
         return max(self.sigma_c, self.supply_bound)
 
 
-# blend half-width of the stress-weight ramp, in ramp units ((1-phi)/2)
-RAMP_BLEND = 0.05
-
-
 @dataclass
 class Nonlinearities:
-    """The quartic double well scaled by ``well_scale``, the smoothstep
-    ramps f, h, k, and selectors for the stress response and weight n."""
+    """The quartic double well scaled by ``well_scale``."""
     well_scale: float = 1.0
-    g: str = "inverse_sqrt"
-    weight_n: str = "ramp"
-    region: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
 
     def __post_init__(self):
         if self.well_scale <= 0:
             raise ModelConfigError("well_scale must be positive")
-        if self.g not in ("inverse_sqrt", "constant"):
-            raise ModelConfigError(f"unknown stress-response selector {self.g!r}")
-        if self.weight_n not in ("ramp", "indicator", "constant"):
-            raise ModelConfigError(f"unknown weight selector {self.weight_n!r}")
-        if len(self.region) != 4 or not (self.region[0] < self.region[1]
-                                         and self.region[2] < self.region[3]):
-            raise ModelConfigError(
-                f"weight region {tuple(self.region)!r} must be x0, x1, y0, y1 "
-                f"with x0 < x1 and y0 < y1")
 
     # potential ---------------------------------------------------------------
     # psi = (r^2 - 1)^2 / 4 = psi1 + psi2: convex psi1 = (r^4 + 1) / 4,
@@ -170,74 +205,6 @@ class Nonlinearities:
     def psi2_second(self, r):
         r = np.asarray(r, dtype=float)
         return np.full_like(r, -self.well_scale)
-
-    # ramps: f, h and k are one function ------------------------------------
-    f = h = k = staticmethod(smoothstep)
-    f_prime = h_prime = k_prime = staticmethod(smoothstep_prime)
-
-    # stress response ---------------------------------------------------------
-    def g_of(self, stress_v):
-        if self.g == "constant":
-            return np.ones(np.asarray(stress_v).shape[:-1])
-        return g_stress(stress_v)
-
-    def g_grad(self, stress_v):
-        if self.g == "constant":
-            return np.zeros_like(np.asarray(stress_v, dtype=float))
-        return g_stress_grad(stress_v)
-
-    # stress weight n(x, phi) -------------------------------------------------
-    def n_of(self, xy: np.ndarray, phi) -> np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-        if self.weight_n == "constant":
-            return np.ones_like(phi)
-        if self.weight_n == "indicator":
-            x0, x1, y0, y1 = self.region
-            inside = ((xy[..., 0] >= x0) & (xy[..., 0] <= x1)
-                      & (xy[..., 1] >= y0) & (xy[..., 1] <= y1))
-            return inside.astype(float) * np.ones_like(phi)
-        return _ramp(0.5 * (1.0 - phi), RAMP_BLEND)
-
-    def n_prime(self, xy: np.ndarray, phi) -> np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-        if self.weight_n != "ramp":
-            return np.zeros_like(phi)
-        return -0.5 * _ramp_prime(0.5 * (1.0 - phi), RAMP_BLEND)
-
-
-def _ramp(t, delta):
-    """C^1 unit ramp: 0 below 0, 1 above 1, slope 1/(1-delta) in between.
-
-    Quadratic blends of half-width ``delta`` at both ends keep the endpoint
-    values exact while removing the clip kinks.
-    """
-    t = np.asarray(t, dtype=float)
-    m = 1.0 / (1.0 - delta)
-    out = np.empty_like(t)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    b0 = (~lo) & (t < delta)
-    b1 = (~hi) & (t > 1.0 - delta)
-    mid = ~(lo | hi | b0 | b1)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    out[b0] = m * t[b0] ** 2 / (2.0 * delta)
-    out[mid] = m * (t[mid] - delta / 2.0)
-    out[b1] = 1.0 - m * (1.0 - t[b1]) ** 2 / (2.0 * delta)
-    return out
-
-
-def _ramp_prime(t, delta):
-    t = np.asarray(t, dtype=float)
-    m = 1.0 / (1.0 - delta)
-    out = np.zeros_like(t)
-    b0 = (t > 0.0) & (t < delta)
-    b1 = (t > 1.0 - delta) & (t < 1.0)
-    mid = (t >= delta) & (t <= 1.0 - delta)
-    out[b0] = m * t[b0] / delta
-    out[mid] = m
-    out[b1] = m * (1.0 - t[b1]) / delta
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +246,7 @@ class GaussCoefficients:
     dramp: np.ndarray
     g: np.ndarray
     dg: np.ndarray          # tensor derivative of g at W_E, Voigt
-    n: np.ndarray           # stress weight n(x, phi) of the cost
+    n: np.ndarray           # stress weight n(phi) of the cost
     dn: np.ndarray
 
     # growth source U = lambda_p sigma f(phi) g(W_E) - (lambda_a + w2) k(phi)
@@ -326,13 +293,13 @@ class GaussCoefficients:
         return self.ramp
 
 
-def gauss_coefficients(params: ModelParams, nl: Nonlinearities, xy, phi,
-                       strain_v) -> GaussCoefficients:
+def gauss_coefficients(params: ModelParams, phi, strain_v) -> GaussCoefficients:
     """Evaluate every coefficient at composition ``phi`` and strain ``strain_v``."""
     phi = np.asarray(phi, dtype=float)
     stress_v = stress(params, phi, strain_v)
     return GaussCoefficients(
         params=params, phi=phi, stress=stress_v,
         w_phi=-tensor_dot(stress_v, params.misfit_strain),
-        ramp=nl.f(phi), dramp=nl.f_prime(phi), g=nl.g_of(stress_v), dg=nl.g_grad(stress_v),
-        n=nl.n_of(xy, phi), dn=nl.n_prime(xy, phi))
+        ramp=smoothstep(phi), dramp=smoothstep_prime(phi),
+        g=g_stress(stress_v), dg=g_stress_grad(stress_v),
+        n=stress_weight(phi), dn=stress_weight_prime(phi))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constitutive import GaussCoefficients
 from .fem import tensor_dot, tensor_norm2
-from .state import ControlSpace, ControlTriple, StateTrajectory, System
+from .state import ControlSpace, ControlTriple, InputRuleError, StateTrajectory, System
 
 
 class CostConfigError(ValueError):
@@ -54,6 +54,9 @@ class CostWeights:
                 "gamma3 must be positive when gamma5 is positive (A7)")
         self.phi_Q = np.asarray(self.phi_Q, dtype=float)
         self.phi_Omega = np.asarray(self.phi_Omega, dtype=float)
+        for name in ("phi_Q", "phi_Omega"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InputRuleError(name, "must hold finite values")
 
     def regularisation(self, w: ControlTriple) -> ControlTriple:
         """(gamma1 w1, gamma2 w2, gamma3 w3): the L2 representative of the
@@ -163,5 +166,5 @@ def directional_cost_derivative(system: System, traj: StateTrajectory,
         coef = system.coefficients(snap) if weights.alpha_E > 0 else None
         phi_source, load = running_cost_sources(system, weights, snap, coef, n)
         total += tau * (float(phi_source @ lin_snaps[n].xi) + float(load @ lin_snaps[n].v))
-    space = ControlSpace(system.grid, system.dgamma, tau, N)
+    space = ControlSpace(system.dgamma, tau, N)
     return total + space.inner(weights.regularisation(w), direction)

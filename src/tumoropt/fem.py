@@ -91,7 +91,6 @@ class Quadrature:
     G       : (3 nq, 2 nn) displacement dofs -> strain Voigt triples per point
     PT, GT  : transpose views of P and G, sharing their arrays
     w       : (nq,)        quadrature weights (sum = area)
-    xy      : (nq, 2)      Gauss point coordinates
     indptr, indices : the CSC pattern of every scalar nodal operator
     slots   : (16 n_cells,) position in that pattern of each cell-local entry
               (row node a, column node b) of cell c, at 16 c + 4 a + b;
@@ -103,7 +102,6 @@ class Quadrature:
     PT: sp.csc_matrix
     GT: sp.csc_matrix
     w: np.ndarray
-    xy: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
@@ -228,11 +226,6 @@ def quadrature(grid: Grid) -> Quadrature:
     nq = 4 * nc
     w = np.full(nq, grid.hx * grid.hy / 4.0)
 
-    # Gauss point coordinates
-    x0 = grid.nodes[cells[:, 0]]                        # lower-left corners
-    loc = 0.5 * (1.0 + _REF_GPS) * np.array([grid.hx, grid.hy])
-    xy = (x0[:, None, :] + loc[None, :, :]).reshape(nq, 2)
-
     rows = (np.arange(nq)[:, None] * np.ones(4, dtype=int)).ravel()
     cols = np.repeat(cells, 4, axis=0)                  # cell c repeated for its 4 gps
     P = sp.coo_matrix((np.tile(_N_AT_GPS, (nc, 1)).ravel(), (rows, cols.ravel())),
@@ -248,7 +241,7 @@ def quadrature(grid: Grid) -> Quadrature:
                       shape=(3 * nq, 2 * grid.n_nodes)).tocsr()
 
     indptr, indices, slots = _nodal_pattern(grid)
-    return Quadrature(P=P, G=G, PT=P.T, GT=G.T, w=w, xy=xy,
+    return Quadrature(P=P, G=G, PT=P.T, GT=G.T, w=w,
                       indptr=indptr, indices=indices, slots=slots)
 
 

@@ -58,11 +58,8 @@ class Grid:
         return self.boundary_nodes.size
 
 
-def _parse_sides(spec) -> tuple[str, ...]:
-    if isinstance(spec, str):
-        parts = [s.strip() for s in spec.replace(",", " ").split() if s.strip()]
-    else:
-        parts = list(spec)
+def _parse_sides(spec: str) -> tuple[str, ...]:
+    parts = spec.replace(",", " ").split()
     for s in parts:
         if s not in SIDES:
             raise GridConfigError(f"unknown boundary side {s!r}; expected one of {SIDES}")
@@ -70,7 +67,7 @@ def _parse_sides(spec) -> tuple[str, ...]:
 
 
 def build_grid(nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0,
-               dirichlet_spec="left") -> Grid:
+               dirichlet_spec: str = "left") -> Grid:
     """Build the uniform quad grid with a Dirichlet/Neumann side partition.
 
     ``dirichlet_spec`` selects whole sides of the rectangle ("left", "right",

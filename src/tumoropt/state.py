@@ -141,9 +141,7 @@ class ControlSpace:
     controls carry the timestep weight alone.
     """
 
-    def __init__(self, grid: Grid, boundary_weights: np.ndarray, tau: float,
-                 n_steps: int):
-        self.grid = grid
+    def __init__(self, boundary_weights: np.ndarray, tau: float, n_steps: int):
         self.dgamma = boundary_weights        # (nb,)
         self.tau = tau
         self.n_steps = n_steps
@@ -463,7 +461,7 @@ class System:
 
     def control_space(self, T: float, n_steps: int) -> ControlSpace:
         check_time_grid(T, n_steps)
-        return ControlSpace(self.grid, self.dgamma, T / n_steps, n_steps)
+        return ControlSpace(self.dgamma, T / n_steps, n_steps)
 
     def embed_boundary(self, values_b: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.n_nodes)
@@ -513,8 +511,7 @@ class System:
     def coefficients(self, snap: StateSnapshot) -> con.GaussCoefficients:
         """Gauss-point model coefficients of a snapshot's (phi, u)."""
         quad = self.quad
-        return con.gauss_coefficients(self.params, self.nl, quad.xy,
-                                      quad.P @ snap.phi, quad.strain(snap.u))
+        return con.gauss_coefficients(self.params, quad.P @ snap.phi, quad.strain(snap.u))
 
     # -- nutrient step ---------------------------------------------------------
 
@@ -680,12 +677,14 @@ class System:
         return traj
 
     def check_initial_state(self, phi0: np.ndarray, sigma0: np.ndarray) -> None:
-        """The initial-state rules: phi0 and sigma0 hold one value per node,
-        and the nutrient band rule (A5), sigma0 in [0, cap]."""
+        """The initial-state rules: phi0 and sigma0 hold one finite value per
+        node, and the nutrient band rule (A5), sigma0 in [0, cap]."""
         for name, field in (("phi0", phi0), ("sigma0", sigma0)):
             if np.shape(field) != (self.grid.n_nodes,):
                 raise InputRuleError(name, f"needs one value per node, shape "
                                      f"({self.grid.n_nodes},); got shape {np.shape(field)}")
+            if not np.isfinite(field).all():
+                raise InputRuleError(name, "must hold finite values")
         cap = self.params.nutrient_cap
         if sigma0.min() < -1e-12 or sigma0.max() > cap + 1e-12:
             raise InputRuleError("sigma0", f"must lie in [0, {cap}] (A5); "

@@ -8,8 +8,7 @@ from tumoropt.state import ControlBounds, StateSnapshot, System
 
 def make_system(nx=6, ny=6, Lx=1.0, Ly=1.0, dirichlet="left", **params):
     grid = build_grid(nx, ny, Lx, Ly, dirichlet)
-    nl_kwargs = {k: params.pop(k) for k in ("weight_n", "g", "well_scale", "region")
-                 if k in params}
+    nl_kwargs = {"well_scale": params.pop("well_scale")} if "well_scale" in params else {}
     return System(grid, ModelParams(**params), Nonlinearities(**nl_kwargs))
 
 

@@ -145,7 +145,7 @@ def dense_nutrient_step(grid, params, nl, sigma_prev, phi_prev, w1_bvals, w3, ta
     Mb = dense_boundary_mass(grid)
     R = np.zeros((nn, nn))
     for nodes, w, N, dN, xy in gauss_points(grid):
-        c = params.lambda_c * nl.h(interp(phi_prev, nodes, N)) + params.B
+        c = params.lambda_c * con.smoothstep(interp(phi_prev, nodes, N)) + params.B
         for a in range(4):
             for b in range(4):
                 R[nodes[a], nodes[b]] += w * N[a] * c * N[b]
@@ -156,7 +156,7 @@ def dense_nutrient_step(grid, params, nl, sigma_prev, phi_prev, w1_bvals, w3, ta
     w1_full[grid.boundary_nodes] = w1_bvals
     rhs = params.kappa * (Mb @ w1_full)
     rhs += pair_gp(grid, lambda nodes, N, dN, xy:
-                   nl.h(interp(phi_prev, nodes, N)) * w3
+                   con.smoothstep(interp(phi_prev, nodes, N)) * w3
                    + params.B * params.sigma_c)
     if params.beta > 0:
         rhs += (params.beta / tau) * (M @ sigma_prev)
@@ -182,9 +182,9 @@ def dense_ch_step(grid, params, nl, phi_prev, u_prev, sigma_new, w2, tau,
         phi_gp = interp(phi_prev, nodes, N)
         sig_gp = interp(sigma_new, nodes, N)
         s = stress_gp(nodes, N, dN)
-        gw = nl.g_of(s)
-        return (params.lambda_p * sig_gp * nl.f(phi_gp) * gw
-                - (params.lambda_a + w2) * nl.k(phi_gp))
+        gw = con.g_stress(s)
+        return (params.lambda_p * sig_gp * con.smoothstep(phi_gp) * gw
+                - (params.lambda_a + w2) * con.smoothstep(phi_gp))
 
     def wphi_val(nodes, N, dN, xy):
         s = stress_gp(nodes, N, dN)
@@ -257,7 +257,7 @@ def dense_linearised_step(grid, params, nl, prev_state, cur_state, w2, w3,
     # nutrient block and rhs
     R = np.zeros((nn, nn))
     for nodes, w, N, dN, xy in gauss_points(grid):
-        c = params.lambda_c * nl.h(interp(phi_prev, nodes, N)) + params.B
+        c = params.lambda_c * con.smoothstep(interp(phi_prev, nodes, N)) + params.B
         for a in range(4):
             for b in range(4):
                 R[nodes[a], nodes[b]] += w * N[a] * c * N[b]
@@ -268,10 +268,10 @@ def dense_linearised_step(grid, params, nl, prev_state, cur_state, w2, w3,
     h1_full[grid.boundary_nodes] = h1_col
     b_psi = params.kappa * (Mb @ h1_full)
     b_psi += pair_gp(grid, lambda nodes, N, dN, xy:
-                     -nl.h_prime(interp(phi_prev, nodes, N))
+                     -con.smoothstep_prime(interp(phi_prev, nodes, N))
                      * (params.lambda_c * interp(sigma_new, nodes, N) - w3)
                      * interp(xi_prev, nodes, N)
-                     + nl.h(interp(phi_prev, nodes, N)) * h3)
+                     + con.smoothstep(interp(phi_prev, nodes, N)) * h3)
     if params.beta > 0:
         b_psi += (params.beta / tau) * (M @ psi_prev)
 
@@ -281,7 +281,7 @@ def dense_linearised_step(grid, params, nl, prev_state, cur_state, w2, w3,
     for nodes, w, N, dN, xy in gauss_points(grid):
         psi1dd = nl.psi1_second(interp(cur_state.phi, nodes, N))
         phi_gp, xi_gp, stress, dstress = gp_fields(nodes, N, dN)
-        coupling = params.lambda_p * nl.f(phi_gp) * nl.g_of(stress)
+        coupling = params.lambda_p * con.smoothstep(phi_gp) * con.g_stress(stress)
         for a in range(4):
             for b in range(4):
                 S[nodes[a], nodes[b]] += w * N[a] * psi1dd * N[b]
@@ -291,13 +291,13 @@ def dense_linearised_step(grid, params, nl, prev_state, cur_state, w2, w3,
         # xi- and strain-driven parts of the source derivative (psi handled
         # by the monolithic coupling block)
         phi_gp, xi_gp, stress, dstress = gp_fields(nodes, N, dN)
-        gw = nl.g_of(stress)
-        gg = nl.g_grad(stress)
+        gw = con.g_stress(stress)
+        gg = con.g_stress_grad(stress)
         sig_gp = interp(sigma_new, nodes, N)
-        return (params.lambda_p * sig_gp * (nl.f_prime(phi_gp) * gw * xi_gp
-                                            + nl.f(phi_gp) * tdot(gg, dstress))
-                - (params.lambda_a + w2) * nl.k_prime(phi_gp) * xi_gp
-                - h2 * nl.k(phi_gp))
+        return (params.lambda_p * sig_gp * (con.smoothstep_prime(phi_gp) * gw * xi_gp
+                                            + con.smoothstep(phi_gp) * tdot(gg, dstress))
+                - (params.lambda_a + w2) * con.smoothstep_prime(phi_gp) * xi_gp
+                - h2 * con.smoothstep(phi_gp))
 
     b_xi = M @ xi_prev / tau + pair_gp(grid, dU_rest)
     b_eta = pair_gp(grid, lambda nodes, N, dN, xy:

@@ -55,7 +55,7 @@ def test_psi_split_consistent_and_convex(nl):
 
 # -- stress response ----------------------------------------------------------
 
-def test_g_at_zero_and_unit(nl):
+def test_g_at_zero_and_unit():
     assert con.g_stress(np.zeros(3)) == 1.0
     assert np.abs(con.g_stress_grad(np.zeros(3))).max() == 0.0
     # |A|^2 = 3: entries (1, 1, sqrt(1/2)) with the doubled shear slot
@@ -84,58 +84,38 @@ def test_g_grad_matches_finite_differences(rng):
             assert abs(fd - expect) < 1e-6 * max(1.0, abs(expect))
 
 
-def test_g_constant_selector():
-    nl = Nonlinearities(g="constant")
-    a = np.random.default_rng(0).standard_normal((7, 3))
-    assert np.all(nl.g_of(a) == 1.0)
-    assert np.abs(nl.g_grad(a)).max() == 0.0
-
-
 # -- ramps ---------------------------------------------------------------------
 
-def test_ramp_interpolation_values(nl):
-    for fn in (nl.f, nl.h, nl.k):
-        assert fn(1.0) == 1.0
-        assert fn(-1.0) == 0.0
+def test_ramp_interpolation_values():
+    assert con.smoothstep(1.0) == 1.0
+    assert con.smoothstep(-1.0) == 0.0
 
 
-def test_ramp_bounds_and_lipschitz(nl):
+def test_ramp_bounds_and_lipschitz():
     r = np.linspace(-2.5, 2.5, 2001)
-    for fn, d in ((nl.f, nl.f_prime), (nl.h, nl.h_prime), (nl.k, nl.k_prime)):
-        assert (np.abs(fn(r)) <= 1.0).all()
-        assert (fn(r) >= 0.0).all()
-        assert np.abs(d(r)).max() <= 15.0 / 16.0 + 1e-12
+    assert (np.abs(con.smoothstep(r)) <= 1.0).all()
+    assert (con.smoothstep(r) >= 0.0).all()
+    assert np.abs(con.smoothstep_prime(r)).max() <= 15.0 / 16.0 + 1e-12
 
 
-def test_ramp_derivatives_match_fd(nl, rng):
+def test_ramp_derivatives_match_fd(rng):
     for r in rng.uniform(-1.5, 1.5, size=100):
-        assert abs(central(nl.f, r) - nl.f_prime(r)) < 1e-6
+        assert abs(central(con.smoothstep, r) - con.smoothstep_prime(r)) < 1e-6
 
 
 # -- weight n -------------------------------------------------------------------
 
-def test_weight_ramp_endpoints(nl):
-    xy = np.zeros(2)
-    assert nl.n_of(xy, 1.0) == 0.0
-    assert nl.n_of(xy, -1.0) == 1.0
-    assert (nl.n_of(xy, np.linspace(-2, 2, 41)) >= 0).all()
+def test_weight_ramp_endpoints():
+    assert con.stress_weight(1.0) == 0.0
+    assert con.stress_weight(-1.0) == 1.0
+    assert (con.stress_weight(np.linspace(-2, 2, 41)) >= 0).all()
 
 
-def test_weight_indicator_region():
-    nl = Nonlinearities(weight_n="indicator", region=(0.0, 0.5, 0.0, 0.5))
-    xy = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.8]])
-    phi = np.zeros(3)
-    vals = nl.n_of(xy, phi)
-    assert vals[0] == 1.0 and vals[1] == 0.0 and vals[2] == 0.0
-    assert np.abs(nl.n_prime(xy, phi)).max() == 0.0
-
-
-def test_weight_ramp_derivative_fd(nl, rng):
-    xy = np.zeros(2)
+def test_weight_ramp_derivative_fd(rng):
     # stay away from the blend junctions at phi in {1, 0.8, -0.8, -1}
     for phi in rng.uniform(-0.7, 0.7, size=50):
-        fd = (nl.n_of(xy, phi + 1e-5) - nl.n_of(xy, phi - 1e-5)) / 2e-5
-        assert abs(fd - nl.n_prime(xy, phi)) < 1e-6
+        fd = (con.stress_weight(phi + 1e-5) - con.stress_weight(phi - 1e-5)) / 2e-5
+        assert abs(fd - con.stress_weight_prime(phi)) < 1e-6
 
 
 # -- stress/energy -------------------------------------------------------------
@@ -154,57 +134,56 @@ def test_stress_linear_in_arguments(params, rng):
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_w_phi_is_energy_derivative(params, nl, rng):
+def test_w_phi_is_energy_derivative(params, rng):
     for _ in range(100):
         phi = rng.uniform(-1, 1)
         e = rng.standard_normal(3)
         fd = (con.elastic_energy_density(params, phi + 1e-6, e)
               - con.elastic_energy_density(params, phi - 1e-6, e)) / 2e-6
-        val = _coefficients(params, nl, phi, e).w_phi
+        val = _coefficients(params, phi, e).w_phi
         assert abs(fd - val) < 1e-6 * max(1.0, abs(val))
 
 
-def test_w_phi_degenerate_cases(params, nl):
+def test_w_phi_degenerate_cases(params):
     p0 = ModelParams(misfit_strain=np.zeros(3))
-    assert _coefficients(p0, nl, 0.7, np.array([0.1, -0.2, 0.3])).w_phi == 0.0
-    assert _coefficients(params, nl, 0.0, params.bar_strain).w_phi == 0.0
+    assert _coefficients(p0, 0.7, np.array([0.1, -0.2, 0.3])).w_phi == 0.0
+    assert _coefficients(params, 0.0, params.bar_strain).w_phi == 0.0
 
 
 # -- sources -------------------------------------------------------------------
 
-def _coefficients(params, nl, phi, strain_v):
-    return con.gauss_coefficients(params, nl, np.zeros(2), phi, strain_v)
+def _coefficients(params, phi, strain_v):
+    return con.gauss_coefficients(params, phi, strain_v)
 
 
 def test_source_U_zero_rates():
     p = ModelParams(lambda_p=0.0, lambda_a=0.0)
-    assert _coefficients(p, Nonlinearities(), 0.3, np.zeros(3)).growth(0.8, 0.0) == 0.0
+    assert _coefficients(p, 0.3, np.zeros(3)).growth(0.8, 0.0) == 0.0
 
 
-def test_source_U_host_tissue_inactive(params, nl):
+def test_source_U_host_tissue_inactive(params):
     # f(-1) = k(-1) = 0: the host phase neither proliferates nor dies
-    assert _coefficients(params, nl, -1.0, np.zeros(3)).growth(0.9, 0.4) == 0.0
+    assert _coefficients(params, -1.0, np.zeros(3)).growth(0.9, 0.4) == 0.0
 
 
-def test_source_U_unit_growth(nl):
+def test_source_U_unit_growth():
     p = ModelParams(lambda_p=1.0, lambda_a=0.0)
-    coef = _coefficients(p, nl, 1.0, p.bar_strain + p.misfit_strain)
+    coef = _coefficients(p, 1.0, p.bar_strain + p.misfit_strain)
     assert abs(coef.growth(1.0, 0.0) - 1.0) < 1e-15  # stress-free, f(1) = 1, g(0) = 1
 
 
-def test_source_S_balances(nl):
+def test_source_S_balances():
     p = ModelParams(lambda_c=1.0, B=0.7)
     # at sigma = sigma_c with no consumption the exchange term vanishes
-    assert _coefficients(p, nl, -1.0, np.zeros(3)).nutrient(p.sigma_c, 0.0) == 0.0
+    assert _coefficients(p, -1.0, np.zeros(3)).nutrient(p.sigma_c, 0.0) == 0.0
     p0 = ModelParams(B=0.0, lambda_c=1.0)
-    assert abs(_coefficients(p0, nl, 1.0, np.zeros(3)).nutrient(0.37, 0.0) + 0.37) < 1e-15
+    assert abs(_coefficients(p0, 1.0, np.zeros(3)).nutrient(0.37, 0.0) + 0.37) < 1e-15
 
 
-def test_source_S_partials_fd(params, nl, rng):
+def test_source_S_partials_fd(params, rng):
     """Every partial of the growth and nutrient sources, and of the stress
     load, against central differences of its value formula."""
     m, eps, w2, w3 = 50, 1e-6, 0.3, 0.2
-    xy = rng.uniform(0.0, 1.0, size=(m, 2))
     # inside the linear part of the weight ramp n, away from its blends
     phi = rng.uniform(-0.85, 0.85, size=m)
     strain_v = 0.3 * rng.standard_normal((m, 3))
@@ -212,7 +191,7 @@ def test_source_S_partials_fd(params, nl, rng):
     de = rng.standard_normal((m, 3))
 
     def at(dphi=0.0, dstrain=0.0):
-        return con.gauss_coefficients(params, nl, xy, phi + dphi, strain_v + dstrain)
+        return con.gauss_coefficients(params, phi + dphi, strain_v + dstrain)
 
     def central_diff(value):
         return (value(eps) - value(-eps)) / (2 * eps)

@@ -145,14 +145,16 @@ def test_finite_floats_survive_dumps_parse_bitwise(tol, g_load):
 
 
 # all but the first were config keys once: optimiser, diagnostic and solver
-# constants, and the second spelling of the elasticity tensor
+# constants, the second spelling of the elasticity tensor, and the selectors
+# of the stress response and stress weight
 @pytest.mark.parametrize("key", ["nope.key", "opt.step0", "opt.armijo",
                                  "opt.max_halvings", "opt.gate",
                                  "experiment.directions", "experiment.fd_eps",
                                  "experiment.eps_values", "solver.lin_rtol",
                                  "solver.newton_tol", "solver.newton_max_iter",
                                  "model.elasticity", "model.lame_lambda",
-                                 "model.lame_mu"])
+                                 "model.lame_mu", "model.response_g", "model.weight_n",
+                                 "model.weight_region"])
 def test_unknown_key_has_line_number(key):
     with pytest.raises(ConfigError, match=f":3: unknown key '{re.escape(key)}'"):
         parse_config(f"# c\ngrid.nx = 4\n{key} = 2\n")
@@ -189,18 +191,23 @@ def test_non_finite_or_non_positive_value_rejected(line):
 @pytest.mark.parametrize("lines, name", [
     pytest.param("model.g_load = 1,2,3", "g_load", id="g_load-three"),
     pytest.param("model.g_load = 1.0", "g_load", id="g_load-one"),
-    pytest.param("model.weight_n = indicator\nmodel.weight_region = 0,1,0",
-                 "region", id="region-three"),
-    pytest.param("model.weight_region = 0.6,0.4,0,1", "region", id="region-x-inverted"),
-    pytest.param("model.weight_region = 0,1,0.5,0.5", "region", id="region-y-empty"),
     pytest.param("model.elasticity_voigt = 1,2,3,4,5,6,7,8", "elasticity_voigt",
                  id="elasticity_voigt-eight"),
 ])
 def test_model_value_of_wrong_shape_rejected(lines, name):
     # each parsed before and then failed in the solver, or ran with a
-    # value silently dropped or a stress weight n == 0
+    # value silently dropped
     with pytest.raises(ConfigError, match=f"invalid model parameters: .*{name}"):
         parse_config(lines + "\n")
+
+
+@pytest.mark.parametrize("line", ["drug.lifetime = 0", "drug.dosage = -1",
+                                  "drug.times = 0.5,0.2"])
+def test_drug_schedule_rule_refused_at_parse_time(line):
+    # each parsed before and then stopped the run with exit status 1
+    key = line.partition(" = ")[0]
+    with pytest.raises(ConfigError, match=f"invalid model parameters: {re.escape(key)} "):
+        parse_config(line + "\n")
 
 
 def test_degenerate_nutrient_cited():
@@ -312,6 +319,21 @@ def test_multi_row_initial_field_rejected(tmp_path, key):
     _write_target(p, system.grid, np.zeros((2, system.grid.n_nodes)))
     with pytest.raises(ConfigError, match=f"{re.escape(key)} = file:.*one value per node"):
         cfg.initial_fields(system)
+
+
+@pytest.mark.parametrize("key", ["ic.phi", "ic.sigma", "cost.phi_Omega", "cost.phi_Q"])
+def test_non_finite_file_field_refused(tmp_path, key):
+    # a NaN ran until a solve failed on a NaN residual, or passed the nutrient
+    # band check, whose comparisons are false for NaN
+    p = tmp_path / "nan.fld"
+    cfg = default_config(grid__nx=4, grid__ny=4, **{key.replace(".", "__"): f"file:{p}"})
+    system = cfg.build_system()
+    field = np.full(system.grid.n_nodes, 0.5)
+    field[3] = np.nan
+    _write_target(p, system.grid, field)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} = file:.*must hold finite values"):
+        cfg.initial_fields(system)
+        cfg.build_weights(system)
 
 
 @pytest.mark.parametrize("key, spec", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import tumoropt.constitutive as con
 import tumoropt.state as state_mod
 from tumoropt import fem
 from tumoropt.adjoint import reduced_gradient, solve_adjoint
@@ -443,15 +444,15 @@ def test_mass_balance_with_sources():
     sig0 = np.full(grid.n_nodes, 1.0)
     traj = sysd.solve_state(w, phi0, sig0, T, N)
     quad = sysd.quad
-    p, nl = sysd.params, sysd.nl
+    p = sysd.params
     for n in range(1, N + 1):
         prev, cur = traj.snapshot(n - 1), traj.snapshot(n)
         phi_gp = quad.P @ prev.phi
         stress_gp = np.asarray(
             quad.strain(prev.u) - p.bar_strain - phi_gp[:, None] * p.misfit_strain)
-        U_gp = (p.lambda_p * (quad.P @ cur.sigma) * nl.f(phi_gp)
-                * nl.g_of(p.C.apply(stress_gp))
-                - (p.lambda_a + w.w2[n - 1]) * nl.k(phi_gp))
+        U_gp = (p.lambda_p * (quad.P @ cur.sigma) * con.smoothstep(phi_gp)
+                * con.g_stress(p.C.apply(stress_gp))
+                - (p.lambda_a + w.w2[n - 1]) * con.smoothstep(phi_gp))
         lhs = (sysd.integrate_nodal(cur.phi) - sysd.integrate_nodal(prev.phi)) / tau
         rhs = quad.integrate(U_gp)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
