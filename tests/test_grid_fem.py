@@ -171,6 +171,34 @@ def test_coupling_transpose_consistency(rng):
         assert abs(v @ (B @ phi) - phi @ (B.T @ v)) < 1e-12
 
 
+@pytest.mark.parametrize("dirichlet", ["left,bottom", "top", "left,right,bottom,top"])
+def test_neumann_load_of_a_constant_traction(dirichlet):
+    g = build_grid(3, 4, 1.3, 0.9, dirichlet)
+    traction = np.array([0.7, -1.9])
+    load = fem.neumann_load(g, traction)
+    # each node gets half the length of each Neumann edge it touches
+    share = np.zeros(g.n_nodes)
+    length = 0.0
+    for (a, b), pinned in zip(g.boundary_edges, g.edge_is_dirichlet):
+        if not pinned:
+            h = float(np.linalg.norm(g.nodes[a] - g.nodes[b]))
+            share[a] += 0.5 * h
+            share[b] += 0.5 * h
+            length += h
+    assert np.abs(load[0::2] - traction[0] * share).max() < 1e-15
+    assert np.abs(load[1::2] - traction[1] * share).max() < 1e-15
+    # the total nodal force is the traction times the Neumann length
+    assert np.allclose(load.reshape(-1, 2).sum(axis=0), traction * length,
+                       rtol=1e-14, atol=0.0)
+    # the boundary work of the free energy is the load paired with u
+    phi = np.zeros(g.n_nodes)
+    u = np.random.default_rng(5).standard_normal(2 * g.n_nodes)
+    pulled = make_system(3, 4, 1.3, 0.9, dirichlet, g_load=traction)
+    free = make_system(3, 4, 1.3, 0.9, dirichlet)
+    work = free.free_energy(phi, u) - pulled.free_energy(phi, u)
+    assert abs(work - load @ u) <= 1e-13 * max(abs(load) @ abs(u), 1.0)
+
+
 def test_stiffness_energy_second_order_refinement():
     exact = np.pi ** 2 / 2.0  # energy of sin(pi x) cos(pi y) on the unit square
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -11,9 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tumoropt import io
-from tumoropt.config import (SCHEMA, ConfigError, default_config, dumps,
+from tumoropt.config import (EXPERIMENTS, SCHEMA, ConfigError, default_config, dumps,
                              generate_field, load_config, parse_config)
+from tumoropt.constitutive import DrugSchedule, ModelParams, Nonlinearities
+from tumoropt.cost import CostWeights
+from tumoropt.experiments import RUNNERS, _optimize_options
 from tumoropt.fem import ElasticityTensor
+from tumoropt.optimize import OptimizeOptions
+from tumoropt.state import ControlBounds
 from tumoropt.grid import build_grid
 
 
@@ -114,6 +120,28 @@ def test_config_defaults_round_trip():
     again = parse_config(text)
     assert dumps(again) == text
     assert again.values == cfg.values
+
+
+def test_config_defaults_equal_library_defaults():
+    # every default is written in SCHEMA and in a library class; the objects
+    # the config builds from its defaults equal the classes' own defaults
+    cfg = default_config()
+    built = {ModelParams: cfg.build_params(),
+             Nonlinearities: cfg.build_nonlinearities(),
+             DrugSchedule: cfg.drug_schedule(),
+             ControlBounds: cfg.build_bounds(),
+             CostWeights: cfg.build_weights(cfg.build_system()),
+             OptimizeOptions: _optimize_options(cfg, cfg["experiment.seed"])}
+    for cls, obj in built.items():
+        lib = cls()
+        for f in dataclasses.fields(cls):
+            got, want = getattr(obj, f.name), getattr(lib, f.name)
+            if isinstance(want, ElasticityTensor):
+                got, want = got.voigt, want.voigt
+            # a constant target is one value in the library, one per node here
+            assert np.array_equal(got, np.broadcast_to(want, np.shape(got))), \
+                f"{cls.__name__}.{f.name}: config {got!r}, library {want!r}"
+    assert EXPERIMENTS == tuple(RUNNERS)
 
 
 def test_config_file_round_trip(tmp_path):
