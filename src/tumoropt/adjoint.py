@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu  # noqa: F401 - unused; perfbench/tracing.py rebinds it
 
-from .cost import CostWeights, running_cost_sources
+from .cost import CostWeights, running_cost_sources, terminal_cost_source
 from .state import (ControlTriple, PreconditionError, SolverError,
                     StateTrajectory, StepFactors, System)
 
@@ -104,7 +104,7 @@ def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeigh
     N = traj.n_steps
     tau = traj.tau
     snap = traj.snapshot(N)
-    p_T = weights.alpha_Omega * (snap.phi - weights.phi_Omega)
+    p_T = terminal_cost_source(weights, snap.phi)
     q_T = system.solve_mass(system.K @ p_T)
     r_T = np.zeros(system.grid.n_nodes)
     if system.params.beta == 0:
@@ -143,8 +143,7 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
             cost_phi, cost_load = running_cost_sources(system, weights, snap, coef, n)
             if n == N:
                 s = system.solve_elastic(cost_load)
-                rhs1 = cost_phi + (weights.alpha_Omega / tau) * (
-                    system.M @ (snap.phi - weights.phi_Omega))
+                rhs1 = cost_phi + (1 / tau) * (system.M @ nxt.p)
             else:
                 sig_gp = quad.P @ traj.snapshot(n + 1).sigma
                 s = system.solve_elastic(_displacement_source(
@@ -186,8 +185,10 @@ def reduced_gradient(system: System, traj: StateTrajectory,
     if len(adj) != N + 1:
         raise PreconditionError("adjoint layout does not match the trajectory")
     reg = weights.regularisation(w)
-    for j in range(N):
-        reg.w1[:, j] += system.params.kappa * system.boundary_trace_avg(adj[j].r)
+    # the supply map's transpose pairs each r with the boundary nodes, and the
+    # lumped weights turn the pairings into L2(Gamma) values
+    trace = system.supply.T @ np.column_stack([a.r for a in adj[:N]])
+    reg.w1 += system.params.kappa * trace / system.dgamma[:, None]
     kp = np.array([a.kp for a in adj[:N]])
     hr = np.array([a.hr for a in adj[:N]])
     return ReducedGradient(g1=reg.w1, g2=reg.w2 - kp, g3=reg.w3 + hr,

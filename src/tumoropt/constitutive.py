@@ -173,6 +173,11 @@ class ModelParams:
     def nutrient_cap(self) -> float:
         return max(self.sigma_c, self.supply_bound)
 
+    @property
+    def misfit_stress(self) -> np.ndarray:
+        """C E*: minus the composition derivative of the stress W_E."""
+        return self.C.apply(self.misfit_strain)
+
 
 @dataclass
 class Nonlinearities:
@@ -265,9 +270,8 @@ class GaussCoefficients:
     def growth_dphi(self, sigma, w2):
         """dU/dphi at fixed strain: through f, k and the misfit stress -C E*."""
         p = self.params
-        misfit_stress = p.C.apply(p.misfit_strain)
         return (p.lambda_p * sigma * (self.dramp * self.g
-                                      - self.ramp * tensor_dot(self.dg, misfit_stress))
+                                      - self.ramp * tensor_dot(self.dg, p.misfit_stress))
                 - (p.lambda_a + w2) * self.dramp)
 
     @property

@@ -92,9 +92,8 @@ def stress_load_density(coef: GaussCoefficients) -> np.ndarray:
 def stress_load_partials(coef: GaussCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Partials of n(x, phi) |W_E|^2 / 2 at fixed strain: d/dphi, through n
     and the misfit stress -C E*, and d/dW_E in Voigt form."""
-    p = coef.params
     d_phi = (0.5 * coef.dn * tensor_norm2(coef.stress)
-             - coef.n * tensor_dot(coef.stress, p.C.apply(p.misfit_strain)))
+             - coef.n * tensor_dot(coef.stress, coef.params.misfit_stress))
     return d_phi, coef.n[..., None] * coef.stress
 
 
@@ -118,13 +117,17 @@ def eval_cost(system: System, traj: StateTrajectory, w: ControlTriple,
             if weights.alpha_E > 0:
                 J1 += 0.5 * weights.alpha_E * tau * system.quad.integrate(
                     stress_load_density(system.coefficients(snap)))
-    dg = system.dgamma
-    J1 += 0.5 * weights.gamma1 * tau * float(np.einsum("bj,bj,b->", w.w1, w.w1, dg))
-    J1 += 0.5 * weights.gamma2 * tau * float(w.w2 @ w.w2)
-    J1 += 0.5 * weights.gamma3 * tau * float(w.w3 @ w.w3)
+    J1 += 0.5 * ControlSpace(system.dgamma, tau, N).inner(weights.regularisation(w), w)
     J2 = (weights.gamma4 * tau * float(np.abs(w.w2).sum())
           + weights.gamma5 * tau * float(np.abs(w.w3).sum()))
     return J1 + J2, J1, J2
+
+
+def terminal_cost_source(weights: CostWeights, phi: np.ndarray) -> np.ndarray:
+    """alpha_Omega (phi(T) - phi_Omega): the final-time cost's derivative in
+    phi(T), whose mass pairing with a direction is the derivative along it,
+    and the terminal composition multiplier p(T)."""
+    return weights.alpha_Omega * (phi - weights.phi_Omega)
 
 
 def running_cost_sources(system: System, weights: CostWeights, snap,
@@ -157,10 +160,8 @@ def directional_cost_derivative(system: System, traj: StateTrajectory,
     multiplier, so it cross-checks the reduced gradient (duality identity)."""
     tau = traj.tau
     N = traj.n_steps
-    total = 0.0
-    if weights.alpha_Omega > 0:
-        d = traj.snapshot(N).phi - weights.phi_Omega
-        total += weights.alpha_Omega * float(d @ (system.M @ lin_snaps[N].xi))
+    total = float(terminal_cost_source(weights, traj.snapshot(N).phi)
+                  @ (system.M @ lin_snaps[N].xi))
     for n in range(1, N + 1):
         snap = traj.snapshot(n)
         coef = system.coefficients(snap) if weights.alpha_E > 0 else None

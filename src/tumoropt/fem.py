@@ -272,21 +272,15 @@ def assemble_stiffness(grid: Grid, quad: Quadrature) -> sp.csc_matrix:
     return _nodal_matrix(quad, quad._assemble(quad.w, table))
 
 
-def assemble_boundary_mass(grid: Grid, portion: str = "gamma") -> sp.csr_matrix:
-    """Edge mass matrix of linear traces on the whole boundary or the Neumann part."""
-    if portion == "gamma":
-        edges = grid.boundary_edges
-        sides = grid.edge_sides
-    elif portion == "neumann":
-        keep = ~grid.edge_is_dirichlet
-        edges = grid.boundary_edges[keep]
-        sides = grid.edge_sides[keep]
-    else:
-        raise ValueError(f"unknown boundary portion {portion!r}")
-    n = grid.n_nodes
-    if edges.size == 0:
-        return sp.csr_matrix((n, n))
-    lengths = np.where(sides <= 1, grid.hy, grid.hx)  # sides 0,1 = left,right
+def _edge_lengths(grid: Grid) -> np.ndarray:
+    """Length of each boundary edge; sides 0, 1 (left, right) run along y."""
+    return np.where(grid.edge_sides <= 1, grid.hy, grid.hx)
+
+
+def assemble_boundary_mass(grid: Grid) -> sp.csr_matrix:
+    """Edge mass matrix of linear traces on the boundary."""
+    edges, n = grid.boundary_edges, grid.n_nodes
+    lengths = _edge_lengths(grid)
     third = lengths / 3.0
     sixth = lengths / 6.0
     rows = np.concatenate([edges[:, 0], edges[:, 1], edges[:, 0], edges[:, 1]])
@@ -317,24 +311,23 @@ def assemble_elasticity(grid: Grid, C: ElasticityTensor, quad: Quadrature):
     return _block_matrix(quad, local, 2, 2), ~dirichlet_dof_mask(grid)
 
 
-def assemble_coupling_phi_to_strain(grid: Grid, C: ElasticityTensor,
-                                    misfit_voigt: np.ndarray,
+def assemble_coupling_phi_to_strain(grid: Grid, misfit_stress: np.ndarray,
                                     quad: Quadrature) -> sp.csr_matrix:
-    """Rectangular operator B with (B phi)_eta = (C(phi E*), E(eta)).
+    """Rectangular operator B with (B phi)_eta = (phi C E*, E(eta)), where
+    ``misfit_stress`` is C E* in Voigt form.
 
     Its transpose realises the pairing (C E* : E(v), zeta) used by the
     composition equation.
     """
-    stress = C.form @ np.asarray(misfit_voigt, dtype=float)   # includes Voigt weights
+    stress = VOIGT_W * np.asarray(misfit_stress, dtype=float)
     local = (stress @ _strain_table(grid))[:, :, None] * _N_AT_GPS[:, None, :]
     return _block_matrix(quad, local, 2, 1)
 
 
 def neumann_load(grid: Grid, traction: np.ndarray) -> np.ndarray:
-    """Nodal load vector of a constant traction on the Neumann part."""
-    mb = assemble_boundary_mass(grid, "neumann")
-    s = np.asarray(mb.sum(axis=1)).ravel()
-    load = np.zeros(2 * grid.n_nodes)
-    load[0::2] = traction[0] * s
-    load[1::2] = traction[1] * s
-    return load
+    """Nodal load vector of a constant traction on the Neumann part: each
+    node carries half the length of each Neumann edge it touches."""
+    keep = ~grid.edge_is_dirichlet
+    half = np.repeat(0.5 * _edge_lengths(grid)[keep], 2)
+    s = np.bincount(grid.boundary_edges[keep].ravel(), half, minlength=grid.n_nodes)
+    return np.outer(s, traction).ravel()

@@ -50,7 +50,7 @@ def solve_linearised(system: System, traj: StateTrajectory, w: ControlTriple,
         xi_gp = quad.P @ xi
 
         # nutrient direction (implicit, same operator as the forward step)
-        load = (p.kappa * (system.Mb @ system.embed_boundary(direction.w1[:, j]))
+        load = (p.kappa * (system.supply @ direction.w1[:, j])
                 + quad.pair(coef.nutrient_dphi(sig_gp, w.w3[j]) * xi_gp
                             + coef.nutrient_dw3 * direction.w3[j]))
         psi_new = system.solve_nutrient(coef, traj.factors, load, psi)

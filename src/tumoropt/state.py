@@ -78,6 +78,9 @@ class ControlBounds:
 
     def __post_init__(self):
         for name in ("w1", "w2", "w3"):
+            for bound in (name + "_lo", name + "_hi"):
+                if not np.isfinite(getattr(self, bound)):
+                    raise InputRuleError(bound, f"must be finite; got {getattr(self, bound)!r}")
             if getattr(self, name + "_lo") > getattr(self, name + "_hi"):
                 raise PreconditionError(f"control bounds for {name} are empty (min > max)")
 
@@ -410,7 +413,12 @@ class System:
         self.quad = fem.quadrature(grid)
         self.M = fem.assemble_mass(grid, self.quad)
         self.K = fem.assemble_stiffness(grid, self.quad)
-        self.Mb = fem.assemble_boundary_mass(grid, "gamma")
+        self.Mb = fem.assemble_boundary_mass(grid)
+        # the supply map Mb[:, Gamma] takes a boundary supply to its nodal
+        # Robin load; its transpose pairs a nodal field's trace with the
+        # boundary nodes, and its column sums are the lumped boundary weights
+        self.supply = self.Mb[:, grid.boundary_nodes]
+        self.dgamma = np.asarray(self.supply.sum(axis=0)).ravel()
         # the per-step operators are data arrays on the nodal pattern of M and
         # K, such as K + kappa Mb of the nutrient operator, taken into permuted
         # patterns fixed here
@@ -443,34 +451,20 @@ class System:
                                                   2 * n)
         self.A_red = sp.csc_matrix((A.data[nz][take], indices, indptr), shape=(m, m))
         self._elas_lu = splu(self.A_red, kind="spd", sized=False)
-        self.Bc = fem.assemble_coupling_phi_to_strain(grid, params.C,
-                                                      params.misfit_strain, self.quad)
+        self.Bc = fem.assemble_coupling_phi_to_strain(grid, params.misfit_stress, self.quad)
         self.BcT = self.Bc.T
         bar_stress = np.tile(params.C.apply(params.bar_strain), (self.quad.nq, 1))
         self.neumann_load = fem.neumann_load(grid, params.g_load)
         self.load_const = self.quad.pair_stress(bar_stress) + self.neumann_load
         # E* : C E*, the composition curvature of the elastic energy
-        self.misfit_curvature = float(fem.tensor_dot(
-            params.C.apply(params.misfit_strain), params.misfit_strain))
-
-        bn = grid.boundary_nodes
-        self.Mb_b = self.Mb[bn][:, bn].tocsr()
-        self.dgamma = np.asarray(self.Mb_b.sum(axis=1)).ravel()
+        self.misfit_curvature = float(fem.tensor_dot(params.misfit_stress,
+                                                     params.misfit_strain))
 
     # -- helpers ------------------------------------------------------------
 
     def control_space(self, T: float, n_steps: int) -> ControlSpace:
         check_time_grid(T, n_steps)
         return ControlSpace(self.dgamma, T / n_steps, n_steps)
-
-    def embed_boundary(self, values_b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.grid.n_nodes)
-        out[self.grid.boundary_nodes] = values_b
-        return out
-
-    def boundary_trace_avg(self, field: np.ndarray) -> np.ndarray:
-        """Lumped L2(Gamma) representative of a nodal field's trace."""
-        return (self.Mb_b @ field[self.grid.boundary_nodes]) / self.dgamma
 
     def zero_controls(self, n_steps: int,
                       bounds: ControlBounds | None = None) -> ControlTriple:
@@ -486,12 +480,15 @@ class System:
 
     def check_control_layout(self, controls: ControlTriple, n_steps: int) -> None:
         """The layout rule: w1 has shape (n_boundary_nodes, n_steps), w2 and
-        w3 shape (n_steps,)."""
+        w3 shape (n_steps,), and every value is finite."""
         want = ((self.grid.n_boundary_nodes, n_steps), (n_steps,), (n_steps,))
         got = tuple(np.shape(w) for w in (controls.w1, controls.w2, controls.w3))
         if got != want:
             raise PreconditionError(f"control shapes (w1, w2, w3) {got} do not match "
                                     f"the run's {want}")
+        for name in ("w1", "w2", "w3"):
+            if not np.isfinite(getattr(controls, name)).all():
+                raise InputRuleError(name, "must hold finite values")
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         return _solve("mass", self._mass_lu, self._mass, self.node_order, rhs, "N")
@@ -545,7 +542,7 @@ class System:
                       w1_step: np.ndarray, w3_step: float,
                       factors: StepFactors) -> np.ndarray:
         """One implicit nutrient step with the coefficients of the previous state."""
-        load = (self.params.kappa * (self.Mb @ self.embed_boundary(w1_step))
+        load = (self.params.kappa * (self.supply @ w1_step)
                 + self.quad.pair(coef.nutrient(0.0, w3_step)))
         return self.solve_nutrient(coef, factors, load, sigma_prev)
 
@@ -610,7 +607,10 @@ class System:
         # an iterate where a correction contracted too little
         lu = factors.ch
         corrections = 0
-        while not norm <= NEWTON_RTOL * scale:  # NaN-safe
+        while not norm <= NEWTON_RTOL * scale < np.inf:  # NaN- and overflow-safe
+            if not np.isfinite(norm + scale):
+                raise TimestepError(f"composition Newton diverged (residual norm {norm:.3e} "
+                                    f"after {corrections} corrections)")
             if corrections >= NEWTON_MAX_CORRECTIONS:
                 raise TimestepError(
                     f"composition Newton did not converge in {corrections} "
@@ -621,8 +621,6 @@ class System:
             phi += delta[:phi.size]
             mu += delta[phi.size:]
             res = residual(phi, mu, quad.pair(nl.psi1_prime(quad.P @ phi)))
-            if not np.isfinite(res).all():
-                raise TimestepError("composition Newton diverged (non-finite residual)")
             corrections += 1
             norm, prev = np.linalg.norm(res), norm
             if norm > CHORD_CONTRACTION * prev:

@@ -68,13 +68,13 @@ def test_stiffness_unit_cell_diagonal():
 
 def test_boundary_mass_perimeter():
     g = build_grid(4, 3, 2.0, 1.0, "left")
-    Mb = fem.assemble_boundary_mass(g, "gamma")
+    Mb = fem.assemble_boundary_mass(g)
     assert abs(Mb.sum() - 2 * (2.0 + 1.0)) < 1e-13
 
 
 def test_boundary_mass_interior_rows_zero():
     g = build_grid(4, 4, 1.0, 1.0, "left")
-    Mb = fem.assemble_boundary_mass(g, "gamma").toarray()
+    Mb = fem.assemble_boundary_mass(g).toarray()
     interior = np.ones(g.n_nodes, dtype=bool)
     interior[g.boundary_nodes] = False
     assert np.abs(Mb[interior]).max() == 0.0
@@ -84,13 +84,13 @@ def test_boundary_mass_interior_rows_zero():
 def test_boundary_mass_corner_value():
     # two unit edges meet at each corner of the unit cell: 2 * (1/3)
     g = build_grid(1, 1, 1.0, 1.0, "left")
-    Mb = fem.assemble_boundary_mass(g, "gamma")
+    Mb = fem.assemble_boundary_mass(g)
     assert np.allclose(Mb.diagonal(), 2.0 / 3.0)
 
 
 def test_boundary_mass_matches_dense_oracle():
     g = build_grid(3, 4, 1.3, 0.9, "left,bottom")
-    Mb = fem.assemble_boundary_mass(g, "gamma").toarray()
+    Mb = fem.assemble_boundary_mass(g).toarray()
     assert np.abs(Mb - dense_boundary_mass(g)).max() < 1e-13
 
 
@@ -109,7 +109,7 @@ def test_assembled_operators_symmetric(rng):
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
     q = fem.quadrature(g)
     ops = [fem.assemble_mass(g, q), fem.assemble_stiffness(g, q),
-           fem.assemble_boundary_mass(g, "gamma"), fem.assemble_elasticity(g, C, q)[0]]
+           fem.assemble_boundary_mass(g), fem.assemble_elasticity(g, C, q)[0]]
     for A in ops:
         n = A.shape[0]
         norm = spla.norm(A)
@@ -154,16 +154,16 @@ def test_coupling_zero_cases():
     g = build_grid(3, 3, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.0, 1.0)
     q = fem.quadrature(g)
-    B = fem.assemble_coupling_phi_to_strain(g, C, np.array([0.05, 0.05, 0.0]), q)
+    B = fem.assemble_coupling_phi_to_strain(g, C.apply(np.array([0.05, 0.05, 0.0])), q)
     assert np.abs(B @ np.zeros(g.n_nodes)).max() == 0.0
-    B0 = fem.assemble_coupling_phi_to_strain(g, C, np.zeros(3), q)
+    B0 = fem.assemble_coupling_phi_to_strain(g, C.apply(np.zeros(3)), q)
     assert B0.nnz == 0 or np.abs(B0.data).max() == 0.0
 
 
 def test_coupling_transpose_consistency(rng):
     g = build_grid(4, 3, 1.0, 1.0, "left")
     C = fem.ElasticityTensor.isotropic(1.2, 0.7)
-    B = fem.assemble_coupling_phi_to_strain(g, C, np.array([0.04, 0.02, 0.01]),
+    B = fem.assemble_coupling_phi_to_strain(g, C.apply(np.array([0.04, 0.02, 0.01])),
                                             fem.quadrature(g))
     for _ in range(5):
         phi = rng.standard_normal(g.n_nodes)

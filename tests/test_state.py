@@ -380,6 +380,46 @@ def test_run_inputs_refused_before_stepping(monkeypatch, nx, N, T, bounds, w3_st
         sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(nn), T, N)
 
 
+@pytest.mark.parametrize("name", ["w1", "w2", "w3"])
+def test_non_finite_control_refused(monkeypatch, name):
+    # unchecked, w2[1] = inf ran a 4 x 4, 3-step run whose step 2 left phi unchanged
+    sysd = make_system(4, 4)
+    w = interior_controls(sysd, 3)
+    getattr(w, name)[..., 1] = np.inf
+
+    def advance(*args):
+        raise AssertionError("System.advance ran before the inputs were checked")
+
+    monkeypatch.setattr(state_mod.System, "advance", advance)
+    nn = sysd.grid.n_nodes
+    with pytest.raises(InputRuleError, match=f"^{name} must hold finite values$") as info:
+        sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(nn), 0.3, 3)
+    assert info.value.name == name
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("bound", ["w1_lo", "w2_hi", "w3_hi"])
+def test_non_finite_control_bound_refused(bound, value):
+    # unchecked, w2_hi = nan passed both box checks, and random_admissible drew
+    # NaN dosages that stopped as a TimestepError blaming the time step
+    with pytest.raises(InputRuleError, match=f"^{bound} must be finite; got {value!r}$") as info:
+        ControlBounds(**{bound: value})
+    assert info.value.name == bound
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowed_newton_residual_fails_the_step():
+    # the residual norm overflowed to inf, and so did its scale, so the start
+    # iterate read as converged and the run finished with phi never changing
+    cfg = default_config(grid__nx=4, grid__ny=4, time__steps=3, control__w2_max=1e300,
+                         control__initial="constant:0.5,1e300,0.4")
+    sysd = cfg.build_system()
+    phi0, sigma0 = cfg.initial_fields(sysd)
+    with pytest.raises(TimestepError, match=r"^step 1 \(t = 0\.333333\): composition "
+                                            r"Newton diverged \(residual norm inf after 0 "):
+        sysd.solve_state(cfg.initial_controls(sysd), phi0, sigma0, cfg["time.T"], 3)
+
+
 @pytest.mark.parametrize("sweep", ["linearised-w", "linearised-direction", "adjoint",
                                    "gradient"])
 def test_sweeps_refuse_w3_of_wrong_length(sweep):
