@@ -12,10 +12,11 @@ Two modes:
   converge to each other under grid/timestep refinement.
 
 Snapshot ``adj[j]`` for ``j < n_steps`` carries the multiplier of step
-``j+1`` (continuous-time scale, associated with time ``t_j``); ``adj[N]``
-holds the terminal data ``p(T) = alpha_Omega (phi(T) - phi_Omega)``,
-``r(T) = 0`` for a dynamic nutrient.  The stored ``s`` of level ``j`` is the
-displacement multiplier entering that level's solve.
+``j+1`` (continuous-time scale, associated with time ``t_j``).  ``adj[N]``
+holds ``p(T) = alpha_Omega (phi(T) - phi_Omega)``; only ``continuous`` mode,
+which reads them, solves for ``q(T) = M^{-1} K p(T)`` and, at beta = 0,
+``r(T)``, and every other terminal value is 0.  In both modes the stored
+``s`` of level ``j`` is the displacement multiplier entering its solve.
 """
 
 from __future__ import annotations
@@ -99,22 +100,6 @@ def _nutrient_multiplier(system: System, coef, p, q, r_next,
     return system.solve_nutrient(coef, factors, load, r_next)
 
 
-def _terminal_snapshot(system: System, traj: StateTrajectory, weights: CostWeights,
-                       coef) -> AdjointSnapshot:
-    N = traj.n_steps
-    tau = traj.tau
-    snap = traj.snapshot(N)
-    p_T = terminal_cost_source(weights, snap.phi)
-    q_T = system.solve_mass(system.K @ p_T)
-    r_T = np.zeros(system.grid.n_nodes)
-    if system.params.beta == 0:
-        r_T = _nutrient_multiplier(system, coef, p_T, q_T, r_T, traj.factors)
-    _, cost_load = running_cost_sources(system, weights, snap, coef, N)
-    s_T = system.solve_elastic(_displacement_source(
-        system, coef, system.quad.P @ snap.sigma, p_T, q_T, cost_load))
-    return AdjointSnapshot(p=p_T, q=q_T, r=r_T, s=s_T, t=N * tau)
-
-
 def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
                   weights: CostWeights, mode: str = "transpose") -> list[AdjointSnapshot]:
     """Backward sweep producing multipliers adj[0..N]; see module docstring."""
@@ -125,12 +110,18 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
     weights.validate_shapes(system.grid.n_nodes, N)
     if len(traj) != N + 1:
         raise SolverError("trajectory is incomplete")
-    tau = traj.tau
-    quad = system.quad
-
+    tau, quad, nn = traj.tau, system.quad, system.grid.n_nodes
+    snap = traj.snapshot(N)
+    coef = system.coefficients(snap)
+    p, q, r = terminal_cost_source(weights, snap.phi), np.zeros(nn), np.zeros(nn)
+    if mode == "continuous":
+        q = system.solve_mass(system.K @ p)
+        if system.params.beta == 0:
+            r = _nutrient_multiplier(system, coef, p, q, r, traj.factors)
+        sig_gp = quad.P @ snap.sigma
+        _, cost_load = running_cost_sources(system, weights, snap, coef, N)
     out: list[AdjointSnapshot | None] = [None] * (N + 1)
-    coef = system.coefficients(traj.snapshot(N))
-    out[N] = _terminal_snapshot(system, traj, weights, coef)
+    out[N] = AdjointSnapshot(p=p, q=q, r=r, s=np.zeros(2 * nn), t=N * tau)
 
     for j in range(N - 1, -1, -1):
         nxt = out[j + 1]
@@ -155,16 +146,18 @@ def solve_adjoint(system: System, traj: StateTrajectory, w: ControlTriple,
             coef = system.coefficients(traj.snapshot(j))
             r = _nutrient_multiplier(system, coef, p, q, nxt.r, traj.factors)
         else:
+            # the displacement multiplier of snapshot j+1, from its (p, q) and
+            # the coefficients and cost load carried from the level before
+            s = system.solve_elastic(_displacement_source(
+                system, coef, sig_gp, nxt.p, nxt.q, cost_load))
             snap = traj.snapshot(j)
             coef = system.coefficients(snap)
             sig_gp = quad.P @ snap.sigma
             cost_phi, cost_load = running_cost_sources(system, weights, snap, coef, j)
-            rhs1 = (cost_phi + system.BcT @ nxt.s
+            rhs1 = (cost_phi + system.BcT @ s
                     + _composition_rhs(system, coef, sig_gp, w.w2[j], w.w3[j], nxt, tau))
             p, q = _composition_multipliers(system, snap.phi, rhs1, traj.factors)
             r = _nutrient_multiplier(system, coef, p, q, nxt.r, traj.factors)
-            s = system.solve_elastic(_displacement_source(
-                system, coef, sig_gp, p, q, cost_load))
 
         kp = -quad.integrate(coef.growth_dw2 * (quad.P @ p))
         hr = quad.integrate(coef.nutrient_dw3 * (quad.P @ r))

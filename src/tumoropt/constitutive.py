@@ -50,58 +50,6 @@ def g_stress_grad(stress_v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stress weight n of the cost
-# ---------------------------------------------------------------------------
-
-# blend half-width of the stress-weight ramp, in ramp units ((1-phi)/2)
-RAMP_BLEND = 0.05
-
-
-def stress_weight(phi) -> np.ndarray:
-    """n(phi): 0 in the tumour (phi = 1), 1 in the host (phi = -1)."""
-    return _ramp(0.5 * (1.0 - np.asarray(phi, dtype=float)), RAMP_BLEND)
-
-
-def stress_weight_prime(phi) -> np.ndarray:
-    return -0.5 * _ramp_prime(0.5 * (1.0 - np.asarray(phi, dtype=float)), RAMP_BLEND)
-
-
-def _ramp(t, delta):
-    """C^1 unit ramp: 0 below 0, 1 above 1, slope 1/(1-delta) in between.
-
-    Quadratic blends of half-width ``delta`` at both ends keep the endpoint
-    values exact while removing the clip kinks.
-    """
-    t = np.asarray(t, dtype=float)
-    m = 1.0 / (1.0 - delta)
-    out = np.empty_like(t)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    b0 = (~lo) & (t < delta)
-    b1 = (~hi) & (t > 1.0 - delta)
-    mid = ~(lo | hi | b0 | b1)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    out[b0] = m * t[b0] ** 2 / (2.0 * delta)
-    out[mid] = m * (t[mid] - delta / 2.0)
-    out[b1] = 1.0 - m * (1.0 - t[b1]) ** 2 / (2.0 * delta)
-    return out
-
-
-def _ramp_prime(t, delta):
-    t = np.asarray(t, dtype=float)
-    m = 1.0 / (1.0 - delta)
-    out = np.zeros_like(t)
-    b0 = (t > 0.0) & (t < delta)
-    b1 = (t > 1.0 - delta) & (t < 1.0)
-    mid = (t >= delta) & (t <= 1.0 - delta)
-    out[b0] = m * t[b0] / delta
-    out[mid] = m
-    out[b1] = m * (1.0 - t[b1]) / delta
-    return out
-
-
-# ---------------------------------------------------------------------------
 # parameter bundles
 # ---------------------------------------------------------------------------
 
@@ -234,14 +182,15 @@ def elastic_energy_density(params: ModelParams, phi, strain_v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussCoefficients:
-    """The model coefficients of one state snapshot at the Gauss points.
+    """The state equations' coefficients of one snapshot at the Gauss points.
 
     ``gauss_coefficients`` builds it once per snapshot.  The growth source
     U, the nutrient source S and their partials are written here once, and
     the forward step, the linearised step, both adjoint modes and the cost
     all read them from here, which keeps the transpose adjoint exact.  The
     nutrient and the dosages are arguments, because a step pairs the lagged
-    composition and displacement with the new nutrient.
+    composition and displacement with the new nutrient.  The cost's stress
+    weight n(phi) is not one of them; ``cost`` evaluates it from ``phi``.
     """
     params: ModelParams
     phi: np.ndarray
@@ -251,8 +200,6 @@ class GaussCoefficients:
     dramp: np.ndarray
     g: np.ndarray
     dg: np.ndarray          # tensor derivative of g at W_E, Voigt
-    n: np.ndarray           # stress weight n(phi) of the cost
-    dn: np.ndarray
 
     # growth source U = lambda_p sigma f(phi) g(W_E) - (lambda_a + w2) k(phi)
     def growth(self, sigma, w2):
@@ -305,5 +252,4 @@ def gauss_coefficients(params: ModelParams, phi, strain_v) -> GaussCoefficients:
         params=params, phi=phi, stress=stress_v,
         w_phi=-tensor_dot(stress_v, params.misfit_strain),
         ramp=smoothstep(phi), dramp=smoothstep_prime(phi),
-        g=g_stress(stress_v), dg=g_stress_grad(stress_v),
-        n=stress_weight(phi), dn=stress_weight_prime(phi))
+        g=g_stress(stress_v), dg=g_stress_grad(stress_v))

@@ -84,17 +84,66 @@ class CostWeights:
                 f"expected {n_nodes}")
 
 
+# blend half-width of the stress-weight ramp, in ramp units ((1-phi)/2)
+RAMP_BLEND = 0.05
+
+
+def stress_weight(phi) -> np.ndarray:
+    """n(phi): 0 in the tumour (phi = 1), 1 in the host (phi = -1)."""
+    return _ramp(0.5 * (1.0 - np.asarray(phi, dtype=float)), RAMP_BLEND)
+
+
+def stress_weight_prime(phi) -> np.ndarray:
+    return -0.5 * _ramp_prime(0.5 * (1.0 - np.asarray(phi, dtype=float)), RAMP_BLEND)
+
+
+def _ramp(t, delta):
+    """C^1 unit ramp: 0 below 0, 1 above 1, slope 1/(1-delta) in between.
+
+    Quadratic blends of half-width ``delta`` at both ends keep the endpoint
+    values exact while removing the clip kinks.
+    """
+    t = np.asarray(t, dtype=float)
+    m = 1.0 / (1.0 - delta)
+    out = np.empty_like(t)
+    lo = t <= 0.0
+    hi = t >= 1.0
+    b0 = (~lo) & (t < delta)
+    b1 = (~hi) & (t > 1.0 - delta)
+    mid = ~(lo | hi | b0 | b1)
+    out[lo] = 0.0
+    out[hi] = 1.0
+    out[b0] = m * t[b0] ** 2 / (2.0 * delta)
+    out[mid] = m * (t[mid] - delta / 2.0)
+    out[b1] = 1.0 - m * (1.0 - t[b1]) ** 2 / (2.0 * delta)
+    return out
+
+
+def _ramp_prime(t, delta):
+    t = np.asarray(t, dtype=float)
+    m = 1.0 / (1.0 - delta)
+    out = np.zeros_like(t)
+    b0 = (t > 0.0) & (t < delta)
+    b1 = (t > 1.0 - delta) & (t < 1.0)
+    mid = (t >= delta) & (t <= 1.0 - delta)
+    out[b0] = m * t[b0] / delta
+    out[mid] = m
+    out[b1] = m * (1.0 - t[b1]) / delta
+    return out
+
+
 def stress_load_density(coef: GaussCoefficients) -> np.ndarray:
     """n(x, phi) |W_E|^2 at the Gauss points."""
-    return coef.n * tensor_norm2(coef.stress)
+    return stress_weight(coef.phi) * tensor_norm2(coef.stress)
 
 
 def stress_load_partials(coef: GaussCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Partials of n(x, phi) |W_E|^2 / 2 at fixed strain: d/dphi, through n
     and the misfit stress -C E*, and d/dW_E in Voigt form."""
-    d_phi = (0.5 * coef.dn * tensor_norm2(coef.stress)
-             - coef.n * tensor_dot(coef.stress, coef.params.misfit_stress))
-    return d_phi, coef.n[..., None] * coef.stress
+    n = stress_weight(coef.phi)
+    d_phi = (0.5 * stress_weight_prime(coef.phi) * tensor_norm2(coef.stress)
+             - n * tensor_dot(coef.stress, coef.params.misfit_stress))
+    return d_phi, n[..., None] * coef.stress
 
 
 def eval_cost(system: System, traj: StateTrajectory, w: ControlTriple,
@@ -160,6 +209,9 @@ def directional_cost_derivative(system: System, traj: StateTrajectory,
     multiplier, so it cross-checks the reduced gradient (duality identity)."""
     tau = traj.tau
     N = traj.n_steps
+    weights.validate_shapes(system.grid.n_nodes, N)
+    system.check_control_layout(w, N)
+    system.check_control_layout(direction, N)
     total = float(terminal_cost_source(weights, traj.snapshot(N).phi)
                   @ (system.M @ lin_snaps[N].xi))
     for n in range(1, N + 1):

@@ -601,14 +601,18 @@ class System:
             return np.concatenate([r1, r2])
 
         res = residual(phi, mu, convex)
-        norm = np.linalg.norm(res)
-        scale = max(norm, np.linalg.norm(FU), 1.0)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(res)
+            scale = max(norm, np.linalg.norm(FU), 1.0)
+        if not np.isfinite(norm + scale):  # before any correction: the inputs
+            raise SolverError(f"composition step's starting residual is not finite "
+                              f"(norm {norm:.3e}, scale {scale:.3e})")
         # chord Newton from the trajectory's factor of J(0), refactored only at
         # an iterate where a correction contracted too little
         lu = factors.ch
         corrections = 0
-        while not norm <= NEWTON_RTOL * scale < np.inf:  # NaN- and overflow-safe
-            if not np.isfinite(norm + scale):
+        while not norm <= NEWTON_RTOL * scale:  # NaN-safe
+            if not np.isfinite(norm):
                 raise TimestepError(f"composition Newton diverged (residual norm {norm:.3e} "
                                     f"after {corrections} corrections)")
             if corrections >= NEWTON_MAX_CORRECTIONS:

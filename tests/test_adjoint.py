@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+import tumoropt.cost as cost_mod
 import tumoropt.state as state_mod
 from tumoropt.adjoint import reduced_gradient, solve_adjoint
 from tumoropt.cost import CostWeights, directional_cost_derivative, eval_cost
 from tumoropt.linearized import solve_linearised
 from tumoropt.optimize import GATE_EPS, GATE_RTOL
-from tumoropt.state import PreconditionError, SolverError
+from tumoropt.state import PreconditionError, SolverError, System
 
 from conftest import OffFactor, interior_controls, make_system, tumour_ic
 
@@ -64,6 +65,40 @@ def test_terminal_condition_exact():
         expect = weights.alpha_Omega * (traj.snapshot(N).phi - weights.phi_Omega)
         assert np.abs(adj[N].p - expect).max() == 0.0
         assert np.abs(adj[N].r).max() == 0.0  # beta > 0
+
+
+def _count_calls(monkeypatch, owner, *names) -> dict:
+    """The number of calls of each of ``owner``'s ``names`` from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _orig=getattr(owner, name), **kw):
+            calls[_name] += 1
+            return _orig(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode, mass_solves", [("transpose", 0), ("continuous", 1)])
+def test_adjoint_sweep_solve_counts(monkeypatch, mode, mass_solves):
+    # the terminal level is data: only continuous mode solves for q(T), which
+    # it reads, and each level makes one elastic solve, for the displacement
+    # multiplier entering that level's composition solve
+    sysd, _, _, w, traj, T, N = _setup()
+    calls = _count_calls(monkeypatch, System, "solve_mass", "solve_elastic")
+    solve_adjoint(sysd, traj, w, _weights(sysd.grid), mode)
+    assert calls == {"solve_mass": mass_solves, "solve_elastic": N}
+
+
+def test_only_the_stress_load_evaluates_the_stress_weight(monkeypatch, rng):
+    sysd, phi0, sig0, w, _, T, N = _setup()
+    calls = _count_calls(monkeypatch, cost_mod, "stress_weight", "stress_weight_prime")
+    traj = sysd.solve_state(w, phi0, sig0, T, N)
+    solve_linearised(sysd, traj, w, sysd.control_space(T, N).random_direction(rng))
+    eval_cost(sysd, traj, w, _weights(sysd.grid, alpha_E=0.0))
+    assert calls == {"stress_weight": 0, "stress_weight_prime": 0}
+    # the counter sees the weight where the cost does read it
+    eval_cost(sysd, traj, w, _weights(sysd.grid))
+    assert calls == {"stress_weight": N, "stress_weight_prime": 0}
 
 
 def test_transpose_solve_matches_factored_transpose(rng):
@@ -179,12 +214,13 @@ def test_duality_identity_beta_zero_without_boundary_exchange(monkeypatch, rng):
     # with beta = kappa = 0 the trajectory's constant nutrient part is K + B M,
     # definite by A1, where K + kappa Mb alone would be singular.  Its chord
     # does not contract against lambda_c h = 1 > B, so every nutrient solve
-    # factors the operator it iterated with: N in each of the 5 forward solves
-    # and in each of the 2 linearised sweeps, N + 1 in the adjoint sweep
+    # factors the operator it iterated with: N in each of the 5 forward solves,
+    # in each of the 2 linearised sweeps and in the adjoint sweep, whose
+    # terminal level makes no nutrient solve
     sizes = _factor_sizes(monkeypatch)
     _check_duality(rng, 2, beta=0.0, B=0.5, kappa=0.0)
     N, trajectories = 5, 1 + 2 * 2
-    assert sizes.count(NN) == 1 + trajectories * (1 + N) + 2 * N + N + 1
+    assert sizes.count(NN) == 1 + trajectories * (1 + N) + 2 * N + N
 
 
 def test_stiff_well_converges_through_the_refactor_fallback(monkeypatch, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tumoropt import constitutive as con
+from tumoropt import cost
 from tumoropt.constitutive import DrugSchedule, ModelConfigError, ModelParams, Nonlinearities
 from tumoropt.cost import stress_load_density, stress_load_partials
 from tumoropt.fem import ElasticityTensor, tensor_dot
@@ -106,16 +107,16 @@ def test_ramp_derivatives_match_fd(rng):
 # -- weight n -------------------------------------------------------------------
 
 def test_weight_ramp_endpoints():
-    assert con.stress_weight(1.0) == 0.0
-    assert con.stress_weight(-1.0) == 1.0
-    assert (con.stress_weight(np.linspace(-2, 2, 41)) >= 0).all()
+    assert cost.stress_weight(1.0) == 0.0
+    assert cost.stress_weight(-1.0) == 1.0
+    assert (cost.stress_weight(np.linspace(-2, 2, 41)) >= 0).all()
 
 
 def test_weight_ramp_derivative_fd(rng):
     # stay away from the blend junctions at phi in {1, 0.8, -0.8, -1}
     for phi in rng.uniform(-0.7, 0.7, size=50):
-        fd = (con.stress_weight(phi + 1e-5) - con.stress_weight(phi - 1e-5)) / 2e-5
-        assert abs(fd - con.stress_weight_prime(phi)) < 1e-6
+        fd = (cost.stress_weight(phi + 1e-5) - cost.stress_weight(phi - 1e-5)) / 2e-5
+        assert abs(fd - cost.stress_weight_prime(phi)) < 1e-6
 
 
 # -- stress/energy -------------------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tumoropt.constitutive as con
+import tumoropt.cost as cost
 import tumoropt.state as state_mod
 from tumoropt.adjoint import ReducedGradient
-from tumoropt.cost import CostConfigError, CostWeights, eval_cost
+from tumoropt.cost import (CostConfigError, CostWeights, directional_cost_derivative,
+                           eval_cost)
+from tumoropt.linearized import solve_linearised
 from tumoropt.optimize import (ZERO_TOL, ControlProblem, GateError,
                                OptimizeOptions, _dosages, _subgradient, optimize,
                                projection_formula_check, prox_project,
@@ -115,7 +117,7 @@ def test_cost_stress_term_matches_bruteforce_quadrature():
             s = p.C.voigt @ (strain_at(dN, u_cell) - p.bar_strain
                              - phi_gp * p.misfit_strain)
             frob2 = s[0] ** 2 + s[1] ** 2 + 2 * s[2] ** 2
-            brute += tau * wq * con.stress_weight(phi_gp) * frob2
+            brute += tau * wq * cost.stress_weight(phi_gp) * frob2
     assert abs(J - 0.5 * 2.0 * brute) <= 1e-12 * max(1.0, abs(J))
 
 
@@ -128,6 +130,19 @@ def test_cost_target_shape_mismatch():
     traj = prob.solve(w)
     with pytest.raises(CostConfigError):
         eval_cost(prob.system, traj, w, bad)
+
+
+def test_directional_cost_derivative_refuses_a_short_space_time_target():
+    # a space-time target one row short stopped with a bare IndexError, where
+    # eval_cost on the same input refuses it
+    prob = _problem(nx=4, ny=4, N=3)
+    nn = prob.system.grid.n_nodes
+    short = CostWeights(alpha_Q=1.0, phi_Q=np.zeros((3, nn)))
+    w = interior_controls(prob.system, 3)
+    traj = prob.solve(w)
+    lin = solve_linearised(prob.system, traj, w, w)
+    with pytest.raises(CostConfigError, match=rf"^space-time target has shape \(3, {nn}\)"):
+        directional_cost_derivative(prob.system, traj, w, short, lin, w)
 
 
 def test_weights_constraints():

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import tumoropt.state as state_mod
 from tumoropt import fem
 from tumoropt.adjoint import reduced_gradient, solve_adjoint
 from tumoropt.config import default_config, load_config
-from tumoropt.cost import CostWeights
+from tumoropt.cost import CostWeights, directional_cost_derivative
 from tumoropt.factor import SPLU_OPTIONS
 from tumoropt.linearized import solve_linearised
 from tumoropt.state import (ControlBounds, ControlTriple, InputRuleError, PreconditionError,
@@ -407,21 +408,28 @@ def test_non_finite_control_bound_refused(bound, value):
     assert info.value.name == bound
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowed_newton_residual_fails_the_step():
     # the residual norm overflowed to inf, and so did its scale, so the start
-    # iterate read as converged and the run finished with phi never changing
+    # iterate read as converged and the run finished with phi never changing.
+    # No correction was made, so the failure blames the inputs, not the time
+    # step, and the overflow of the norms is not printed as a warning
     cfg = default_config(grid__nx=4, grid__ny=4, time__steps=3, control__w2_max=1e300,
                          control__initial="constant:0.5,1e300,0.4")
     sysd = cfg.build_system()
     phi0, sigma0 = cfg.initial_fields(sysd)
-    with pytest.raises(TimestepError, match=r"^step 1 \(t = 0\.333333\): composition "
-                                            r"Newton diverged \(residual norm inf after 0 "):
-        sysd.solve_state(cfg.initial_controls(sysd), phi0, sigma0, cfg["time.T"], 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError, match=r"^step 1 \(t = 0\.333333\): composition "
+                                              r"step's starting residual is not finite "
+                                              r"\(norm inf, ") as info:
+            sysd.solve_state(cfg.initial_controls(sysd), phi0, sigma0, cfg["time.T"], 3)
+    assert type(info.value) is not TimestepError
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("sweep", ["linearised-w", "linearised-direction", "adjoint",
-                                   "gradient"])
+                                   "gradient", "cost-derivative-w",
+                                   "cost-derivative-direction"])
 def test_sweeps_refuse_w3_of_wrong_length(sweep):
     # unchecked, each stops with an IndexError inside the sweep, or returns a
     # g3 one step short
@@ -431,11 +439,16 @@ def test_sweeps_refuse_w3_of_wrong_length(sweep):
     traj = sysd.solve_state(w, tumour_ic(sysd.grid), np.ones(sysd.grid.n_nodes), 0.3, N)
     weights = CostWeights()
     adj = solve_adjoint(sysd, traj, w, weights)
+    lin = solve_linearised(sysd, traj, w, w)
     bad = ControlTriple(w.w1, w.w2, w.w3[:-1], w.bounds)
     calls = {"linearised-w": lambda: solve_linearised(sysd, traj, bad, w),
              "linearised-direction": lambda: solve_linearised(sysd, traj, w, bad),
              "adjoint": lambda: solve_adjoint(sysd, traj, bad, weights),
-             "gradient": lambda: reduced_gradient(sysd, traj, adj, bad, weights)}
+             "gradient": lambda: reduced_gradient(sysd, traj, adj, bad, weights),
+             "cost-derivative-w": lambda: directional_cost_derivative(
+                 sysd, traj, bad, weights, lin, w),
+             "cost-derivative-direction": lambda: directional_cost_derivative(
+                 sysd, traj, w, weights, lin, bad)}
     with pytest.raises(PreconditionError, match=r"^control shapes .*\(2,\)\) do not match"):
         calls[sweep]()
 
