@@ -13,7 +13,11 @@ import scipy.sparse.linalg as spla
 
 # SuperLU settings per operator kind.
 #
-# ``ch``: the nonsymmetric Cahn-Hilliard block Jacobian, with partial pivoting.
+# ``ch``: the Cahn-Hilliard step, with partial pivoting: a trajectory's
+# J(0) as its complex symmetric form M - i sqrt(tau) K, whose Hermitian part
+# M is symmetric positive definite, so the diagonal pivots stay stable and
+# are the ones chosen (row order unchanged), and a refactor of the
+# nonsymmetric block Jacobian J(phi) at an iterate.
 # ``spd``: the nutrient operator K + kappa Mb + P^T diag(w (lambda_c h + B)) P
 # + (beta/tau) M and its constant part, the mass matrix and the reduced
 # elasticity block.  They are symmetric positive definite (A1 keeps every
@@ -28,14 +32,14 @@ SPLU_OPTIONS = {
 
 
 def splu(A, kind: str, sized: bool = True):
-    """Factor ``A`` by the policy of ``kind``.
+    """Factor ``A``, real or complex, by the policy of ``kind``.
 
     ``sized`` factors with SuperLU's incomplete-LU routine dropping nothing,
     which gives the same L and U in storage that grows from nnz(A) as the
     fill needs it.  The complete routine allocates about 20 nnz(A) up front
-    (25.9 MiB for the 1.9 MiB of L + U of a 32x32 Cahn-Hilliard factor) but
-    factors about a third faster, so the factors a ``System`` makes once at
-    set-up use it.
+    (25.9 MiB for the 1.9 MiB of L + U of a 32x32 real Cahn-Hilliard block
+    Jacobian) but factors about a third faster, so the factors a ``System``
+    makes once at set-up use it.
     """
     if sized:
         return spla.spilu(A, drop_tol=0.0, drop_rule="basic", fill_factor=1.0,

@@ -193,16 +193,39 @@ class StateSnapshot:
     t: float
 
 
+class _ComplexForm:
+    """Solves with J(0) = [[M/tau, K], [-K, M]] through ``lu``, the n x n
+    factor of its complex symmetric form A = M - i sqrt(tau) K in the order
+    ``node_order``: J(0) (x, y) = (b1, b2) is A z = sqrt(tau) b1 + i b2 with
+    x = sqrt(tau) Re z and y = Im z, and J(0)^T is solved the same way with
+    A^H = M + i sqrt(tau) K (Axelsson & Kucherov, Numer. Linear Algebra Appl.
+    7, 2000).  ``ch_order`` interleaves phi and mu per node, so b1 and b2 are
+    the even and odd entries of a permuted right-hand side."""
+
+    def __init__(self, lu, tau: float):
+        self.lu = lu
+        self.root_tau = np.sqrt(tau)
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        z = self.lu.solve(self.root_tau * b[0::2] + 1j * b[1::2],
+                          trans="H" if trans == "T" else "N")
+        y = np.empty(b.size)
+        y[0::2] = self.root_tau * z.real
+        y[1::2] = z.imag
+        return y
+
+
 @dataclass(frozen=True)
 class StepFactors:
     """The constant parts of the step operators at time step ``tau``,
     factored once for a trajectory or for the runs of one time grid: ``ch``
-    factors J(0) = [[M/tau, K], [-K, M]], ``ch_jacobian`` at phi = 0
-    (psi1''(0) = 0), and ``nutrient`` factors K + kappa Mb + (beta/tau + B) M,
-    ``nutrient_operator`` without its lambda_c h(phi) term, each in the order
-    of the matrix it factors."""
+    solves with J(0) = [[M/tau, K], [-K, M]], ``ch_jacobian`` at phi = 0
+    (psi1''(0) = 0), in the order ``ch_order``, through the n x n factor of
+    its complex form (``_ComplexForm``), a quarter of the fill of J(0)'s own;
+    ``nutrient`` factors K + kappa Mb + (beta/tau + B) M, ``nutrient_operator``
+    without its lambda_c h(phi) term, in the order ``node_order``."""
     tau: float
-    ch: object
+    ch: _ComplexForm
     nutrient: object
 
 
@@ -398,11 +421,12 @@ class System:
 
     ``M``, ``K`` and every vector are in the grid's node numbering.  The
     matrices it factors are numbered in the nested-dissection order of the
-    grid, fixed here: row k of ``nutrient_operator`` is node
-    ``node_order[k]``, row k of ``ch_jacobian`` is unknown ``ch_order[k]`` of
-    (phi; mu), with phi and mu of a node adjacent, and row k of ``A_red`` is
-    displacement dof ``elastic_order[k]``, the free dofs with u_x and u_y of a
-    node adjacent.  Only vectors are permuted, in the solves.
+    grid, fixed here: row k of ``nutrient_operator``, and of the complex form
+    of J(0) that ``step_factors`` factors, is node ``node_order[k]``, row k
+    of ``ch_jacobian`` is unknown ``ch_order[k]`` of (phi; mu), with phi and
+    mu of a node adjacent, and row k of ``A_red`` is displacement dof
+    ``elastic_order[k]``, the free dofs with u_x and u_y of a node adjacent.
+    Only vectors are permuted, in the solves.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, nonlin: Nonlinearities):
@@ -524,9 +548,11 @@ class System:
         return self._nodal_matrix(data)
 
     def step_factors(self, tau: float) -> StepFactors:
-        """Factor the constant parts of the step operators at time step ``tau``."""
-        return StepFactors(tau, splu(self.ch_jacobian(np.zeros(self.grid.n_nodes), tau),
-                                     kind="ch"),
+        """Factor the constant parts of the step operators at time step
+        ``tau``; J(0) by its complex form M - i sqrt(tau) K, on the nodal
+        pattern."""
+        ch = self._nodal_matrix(self.M.data - 1j * np.sqrt(tau) * self.K.data)
+        return StepFactors(tau, _ComplexForm(splu(ch, kind="ch"), tau),
                            splu(self.nutrient_operator(None, tau), kind="spd"))
 
     def solve_nutrient(self, coef: con.GaussCoefficients, factors: StepFactors,

@@ -115,6 +115,15 @@ def test_transpose_solve_matches_factored_transpose(rng):
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _factor_kinds(monkeypatch) -> list:
+    """The policy ``kind`` of every matrix that ``state`` factors from now on."""
+    kinds = []
+    orig = state_mod.splu
+    monkeypatch.setattr(state_mod, "splu",
+                        lambda A, **kw: kinds.append(kw["kind"]) or orig(A, **kw))
+    return kinds
+
+
 def _three_step_forward(sysd, N=3, T=0.3):
     w = interior_controls(sysd, N)
     traj = sysd.solve_state(w, tumour_ic(sysd.grid), np.full(sysd.grid.n_nodes, 1.0), T, N)
@@ -126,20 +135,12 @@ def test_every_sweep_factors_through_the_system(monkeypatch, rng):
     # once, in state.py, for its trajectory: one CH and one nutrient factor,
     # and the linearised and adjoint sweeps over it factor nothing
     sysd = make_system(4, 4, chi=0.1)  # beta > 0
-    nn = sysd.grid.n_nodes
-    sizes = []
-    orig = state_mod.splu
-
-    def counting(A, **kwargs):
-        sizes.append(A.shape[0])
-        return orig(A, **kwargs)
-
-    monkeypatch.setattr(state_mod, "splu", counting)
+    kinds = _factor_kinds(monkeypatch)
     w, traj, space = _three_step_forward(sysd)
-    assert (sizes.count(2 * nn), sizes.count(nn)) == (1, 1)
+    assert (kinds.count("ch"), kinds.count("spd")) == (1, 1)
     solve_linearised(sysd, traj, w, space.random_direction(rng))
     solve_adjoint(sysd, traj, w, _weights(sysd.grid), "transpose")
-    assert (sizes.count(2 * nn), sizes.count(nn)) == (1, 1)
+    assert (kinds.count("ch"), kinds.count("spd")) == (1, 1)
 
 
 def test_sweep_nutrient_solves_are_checked(monkeypatch, rng):
@@ -150,9 +151,8 @@ def test_sweep_nutrient_solves_are_checked(monkeypatch, rng):
     sysd = make_system(4, 4, chi=0.1)
     w, traj, space = _three_step_forward(sysd)
     orig = state_mod.splu
-    nn = sysd.grid.n_nodes
     monkeypatch.setattr(state_mod, "splu", lambda A, **kw: (
-        OffFactor(orig(A, **kw), 3.0) if A.shape[0] == nn else orig(A, **kw)))
+        OffFactor(orig(A, **kw), 3.0) if kw["kind"] == "spd" else orig(A, **kw)))
     with pytest.raises(SolverError, match="nutrient solve failed"):
         _three_step_forward(sysd)
     traj.factors = sysd.step_factors(traj.tau)
@@ -189,25 +189,14 @@ def test_duality_identity_transpose(rng):
     _check_duality(rng, 4)
 
 
-def _factor_sizes(monkeypatch) -> list:
-    """The dimension of every matrix that ``state`` factors from now on."""
-    sizes = []
-    orig = state_mod.splu
-    monkeypatch.setattr(state_mod, "splu",
-                        lambda A, **kw: sizes.append(A.shape[0]) or orig(A, **kw))
-    return sizes
-
-
-NN = 6 * 5  # the nodes of _setup's 5 x 4 grid
-
-
 def test_duality_identity_beta_zero(monkeypatch, rng):
     # with lambda_c = 1 > B = 0.5 the boundary exchange kappa Mb keeps the
-    # nutrient chord contracting: the n x n factors are the mass matrix and
-    # one constant part per trajectory, 1 + 2 per direction
-    sizes = _factor_sizes(monkeypatch)
+    # nutrient chord contracting: the "spd" factors are the mass and
+    # elasticity matrices and one constant part per trajectory, 1 + 2 per
+    # direction
+    kinds = _factor_kinds(monkeypatch)
     _check_duality(rng, 3, beta=0.0, B=0.5, kappa=1.0)
-    assert sizes.count(NN) == 1 + (1 + 2 * 3)
+    assert kinds.count("spd") == 2 + (1 + 2 * 3)
 
 
 def test_duality_identity_beta_zero_without_boundary_exchange(monkeypatch, rng):
@@ -216,20 +205,21 @@ def test_duality_identity_beta_zero_without_boundary_exchange(monkeypatch, rng):
     # does not contract against lambda_c h = 1 > B, so every nutrient solve
     # factors the operator it iterated with: N in each of the 5 forward solves,
     # in each of the 2 linearised sweeps and in the adjoint sweep, whose
-    # terminal level makes no nutrient solve
-    sizes = _factor_sizes(monkeypatch)
+    # terminal level makes no nutrient solve; the mass and elasticity
+    # matrices are the other "spd" factors
+    kinds = _factor_kinds(monkeypatch)
     _check_duality(rng, 2, beta=0.0, B=0.5, kappa=0.0)
     N, trajectories = 5, 1 + 2 * 2
-    assert sizes.count(NN) == 1 + trajectories * (1 + N) + 2 * N + N
+    assert kinds.count("spd") == 2 + trajectories * (1 + N) + 2 * N + N
 
 
 def test_stiff_well_converges_through_the_refactor_fallback(monkeypatch, rng):
     # a steep well makes J(0) contract too little: the forward steps refactor
     # at their iterates and the sweeps' solves factor their operators, and
     # the duality identity and the FD gate still hold
-    sizes = _factor_sizes(monkeypatch)
+    kinds = _factor_kinds(monkeypatch)
     _check_duality(rng, 1, well_scale=50.0)
-    assert sizes.count(2 * NN) > 3  # one J(0) factor per trajectory, 3 trajectories
+    assert kinds.count("ch") > 3  # one J(0) factor per trajectory, 3 trajectories
 
 
 def test_gradient_vs_finite_differences_transpose(rng):

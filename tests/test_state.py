@@ -99,13 +99,13 @@ def test_ch_step_newton_divergence_reported(monkeypatch):
                                 np.ones(grid.n_nodes), 0.0, sysd.step_factors(50.0))
 
 
-def _count_ch_factorizations(monkeypatch, n_nodes):
-    """Wrap the solver's ``splu`` and count factorizations of the CH block."""
+def _count_ch_factorizations(monkeypatch):
+    """Wrap the solver's ``splu`` and count factorizations of the CH kind."""
     calls = []
     orig = state_mod.splu
 
     def counting(A, **kwargs):
-        if A.shape[0] == 2 * n_nodes:
+        if kwargs["kind"] == "ch":
             calls.append(A.shape[0])
         return orig(A, **kwargs)
 
@@ -119,7 +119,7 @@ def test_ch_jacobian_factored_once_per_trajectory(monkeypatch):
     cfg = default_config(grid__nx=8, grid__ny=8, time__steps=8)
     sysd = cfg.build_system()
     phi0, sig0 = cfg.initial_fields(sysd)
-    calls = _count_ch_factorizations(monkeypatch, sysd.grid.n_nodes)
+    calls = _count_ch_factorizations(monkeypatch)
     sysd.solve_state(cfg.initial_controls(sysd), phi0, sig0,
                      cfg["time.T"], cfg["time.steps"])
     assert len(calls) == 1
@@ -135,7 +135,7 @@ def test_ch_step_stiff_refactors_and_converges(monkeypatch):
     tau = 5.0
     coef = coefficients_at(sysd, phi0)
     factors = sysd.step_factors(tau)
-    calls = _count_ch_factorizations(monkeypatch, grid.n_nodes)
+    calls = _count_ch_factorizations(monkeypatch)
     phi, mu = sysd.step_cahn_hilliard(phi0, coef, sigma, 0.0, factors)
     assert len(calls) >= 1
 
@@ -684,6 +684,25 @@ def test_solves_match_spsolve_on_the_natural_matrix(rng):
     assert close(sysd.solve_ch(phi, factors, b, "N"), spla.spsolve(J, b))
     assert close(sysd.solve_ch(phi, factors, b, "T"), spla.spsolve(J.T.tocsc(), b))
     assert close(sysd.solve_mass(load), spla.spsolve(sysd.M, load))
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1.0 / 64, 5.0])
+@pytest.mark.parametrize("shape", [(6, 6, 1.0), (7, 5, 1.2)])
+def test_complex_form_solves_match_the_real_j0(shape, tau, rng):
+    # the trajectory factors J(0) = [[M/tau, K], [-K, M]] as the n x n complex
+    # matrix M - i sqrt(tau) K; its solves, mapped to the permuted real
+    # unknowns, match the real 2n x 2n J(0) and its transpose in ch_order.
+    # Its Hermitian part M is definite, and partial pivoting keeps the diagonal
+    nx, ny, Lx = shape
+    sysd = make_system(nx, ny, Lx=Lx)
+    n = sysd.grid.n_nodes
+    ch = sysd.step_factors(tau).ch
+    assert ch.lu.shape == (n, n) and np.array_equal(ch.lu.perm_r, np.arange(n))
+    J = sysd.ch_jacobian(np.zeros(n), tau)
+    b = rng.standard_normal(2 * n)
+    for trans, op in (("N", J), ("T", J.T.tocsc())):
+        ref = spla.spsolve(op, b)
+        assert np.linalg.norm(ch.solve(b, trans) - ref) <= 1e-12 * np.linalg.norm(ref), trans
 
 
 def test_composition_and_mass_solves_are_checked(monkeypatch, rng):
